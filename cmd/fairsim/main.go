@@ -185,7 +185,7 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cluster := core.NewCluster(*n, cfg, core.ClusterOptions{
+	cluster := core.NewShardedCluster(*n, 1, cfg, core.ClusterOptions{
 		Seed: *seed,
 		NetConfig: simnet.Config{
 			Latency: simnet.ConstantLatency(2 * time.Millisecond),
@@ -220,10 +220,10 @@ func runSingle(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "fairgossip: n=%d mode=%s controller=%s target=%.0f seed=%d\n",
 		*n, *mode, *controller, *target, *seed)
 	fmt.Fprintf(stdout, "simulated %d publishing rounds in %.2fs wall (%d events fired)\n\n",
-		*rounds, elapsed.Seconds(), cluster.Sim.Steps())
+		*rounds, elapsed.Seconds(), cluster.Steps())
 	fmt.Fprintln(stdout, cluster.Report().String())
 
-	tot := cluster.Net.TotalTraffic()
+	tot := cluster.TotalTraffic()
 	fmt.Fprintf(stdout, "network              %d msgs, %.2f MB, %d dropped\n",
 		tot.MsgsSent, float64(tot.BytesSent)/1e6, tot.Dropped)
 	fmt.Fprintf(stdout, "events delivered     %d\n\n", cluster.DeliveredTotal())

@@ -22,8 +22,9 @@
 //     forwarding.
 //
 // Two runtimes are provided. NewSim builds a deterministic
-// discrete-event-simulated cluster (what the experiments in
-// cmd/fairbench use); NewLive builds a real-concurrency cluster with one
+// discrete-event-simulated cluster: one shard of the sharded simulation
+// kernel, the same engine the experiments in cmd/fairbench run on at
+// every shard count. NewLive builds a real-concurrency cluster with one
 // goroutine per peer, suitable for embedding in applications.
 //
 // Both runtimes can be driven through the fault-injection scenario
@@ -99,8 +100,9 @@ type (
 	LiveCluster = live.Cluster
 	// LiveConfig parameterises NewLive.
 	LiveConfig = live.Config
-	// SimCluster is the deterministic simulated runtime.
-	SimCluster = core.Cluster
+	// SimCluster is the deterministic simulated runtime: the sharded
+	// kernel, run by NewSim on one shard.
+	SimCluster = core.ShardedCluster
 	// SimConfig parameterises a simulated cluster's protocol.
 	SimConfig = core.Config
 	// SimOptions parameterises a simulated cluster's environment.
@@ -193,9 +195,10 @@ func TransportUDP() TransportFactory { return transport.UDP() }
 // transport it is always nil.
 func NewLive(cfg LiveConfig) (*LiveCluster, error) { return live.NewCluster(cfg) }
 
-// NewSim builds a deterministic simulated cluster of n peers.
+// NewSim builds a deterministic simulated cluster of n peers on one
+// shard.
 func NewSim(n int, cfg SimConfig, opts SimOptions) *SimCluster {
-	return core.NewCluster(n, cfg, opts)
+	return core.NewShardedCluster(n, 1, cfg, opts)
 }
 
 // ParseFilter compiles subscription-language source text, e.g.

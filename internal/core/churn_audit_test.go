@@ -10,7 +10,7 @@ import (
 )
 
 func TestLeaveRejoinWithPenalty(t *testing.T) {
-	c := NewCluster(32, Config{
+	c := NewShardedCluster(32, 1, Config{
 		Mode:          ModeContent,
 		Fanout:        5,
 		RepairPenalty: 500,
@@ -52,7 +52,7 @@ func TestLeaveRejoinWithPenalty(t *testing.T) {
 }
 
 func TestRejoinWithoutPenaltyConfigured(t *testing.T) {
-	c := NewCluster(8, Config{Mode: ModeContent}, ClusterOptions{Seed: 2})
+	c := NewShardedCluster(8, 1, Config{Mode: ModeContent}, ClusterOptions{Seed: 2})
 	c.RunRounds(2)
 	c.Node(3).Leave()
 	c.Node(3).Rejoin(0)
@@ -64,7 +64,7 @@ func TestRejoinWithoutPenaltyConfigured(t *testing.T) {
 func TestCheaterAuditExposure(t *testing.T) {
 	// EXP-A6 in miniature: a cheater pads every gossip message with junk
 	// bytes. Raw contribution rewards it; the novelty audit does not.
-	c := NewCluster(32, Config{
+	c := NewShardedCluster(32, 1, Config{
 		Mode:        ModeContent,
 		Fanout:      5,
 		Batch:       4,
@@ -128,17 +128,17 @@ func TestCheaterAuditExposure(t *testing.T) {
 }
 
 func TestInactiveNodeSkipsRounds(t *testing.T) {
-	c := NewCluster(4, Config{Mode: ModeContent}, ClusterOptions{Seed: 4})
+	c := NewShardedCluster(4, 1, Config{Mode: ModeContent}, ClusterOptions{Seed: 4})
 	c.Node(2).Leave()
-	sent := c.Net.Stats(2).MsgsSent
+	sent := c.Stats(2).MsgsSent
 	c.RunRounds(10)
-	if got := c.Net.Stats(2).MsgsSent; got != sent {
+	if got := c.Stats(2).MsgsSent; got != sent {
 		t.Fatal("inactive node kept sending")
 	}
 }
 
 func TestHandleMessageIgnoresGarbage(t *testing.T) {
-	c := NewCluster(2, Config{Mode: ModeContent}, ClusterOptions{Seed: 5})
+	c := NewShardedCluster(2, 1, Config{Mode: ModeContent}, ClusterOptions{Seed: 5})
 	c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: 42, Size: 1})
 	// A wireMsg of an unknown kind is also ignored.
 	c.Node(0).HandleMessage(simnet.Message{From: 1, To: 0, Payload: &wireMsg{Kind: msgKind(99)}, Size: 1})
@@ -149,7 +149,7 @@ func TestHandleMessageIgnoresGarbage(t *testing.T) {
 
 func TestSubscribeContentModeNoWalk(t *testing.T) {
 	// Content mode must not launch topic walks even for topic filters.
-	c := NewCluster(8, Config{Mode: ModeContent}, ClusterOptions{Seed: 6})
+	c := NewShardedCluster(8, 1, Config{Mode: ModeContent}, ClusterOptions{Seed: 6})
 	c.Node(0).Subscribe(pubsub.Topic("t"))
 	if c.Node(0).walksSent != 0 {
 		t.Fatal("content mode launched a subscription walk")

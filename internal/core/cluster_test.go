@@ -9,8 +9,8 @@ import (
 	"fairgossip/internal/simnet"
 )
 
-func contentCluster(n int, seed int64, spec ControllerSpec) *Cluster {
-	return NewCluster(n, Config{
+func contentCluster(n int, seed int64, spec ControllerSpec) *ShardedCluster {
+	return NewShardedCluster(n, 1, Config{
 		Mode:       ModeContent,
 		Controller: spec,
 		Fanout:     5,
@@ -156,17 +156,24 @@ func TestClusterDeterminism(t *testing.T) {
 
 func TestClusterStartStopIdempotent(t *testing.T) {
 	c := contentCluster(8, 5, ControllerSpec{Kind: ControllerStatic})
+	tickers := func() int {
+		k := 0
+		for _, sh := range c.shards {
+			k += len(sh.tickers)
+		}
+		return k
+	}
 	c.Start()
 	c.Start() // no double tickers
-	if len(c.tickers) != 8 {
-		t.Fatalf("tickers = %d, want 8", len(c.tickers))
+	if got := tickers(); got != 8 {
+		t.Fatalf("tickers = %d, want 8", got)
 	}
 	c.Stop()
-	if len(c.tickers) != 0 {
+	if tickers() != 0 {
 		t.Fatal("stop did not clear tickers")
 	}
 	c.RunRounds(1) // restarts lazily
-	if len(c.tickers) != 8 {
+	if tickers() != 8 {
 		t.Fatal("RunRounds did not restart")
 	}
 }
@@ -184,7 +191,7 @@ func TestDeliveryRatioHelper(t *testing.T) {
 }
 
 func TestFullMembershipMode(t *testing.T) {
-	c := NewCluster(32, Config{
+	c := NewShardedCluster(32, 1, Config{
 		Mode:       ModeContent,
 		Membership: MemberFull,
 		Fanout:     5,
@@ -212,7 +219,7 @@ func TestFullMembershipMode(t *testing.T) {
 func TestSmoothedControllerConfigured(t *testing.T) {
 	// Smoothing must keep the cluster functional and still adapt under
 	// sustained pressure.
-	c := NewCluster(32, Config{
+	c := NewShardedCluster(32, 1, Config{
 		Mode:   ModeContent,
 		Fanout: 8,
 		Batch:  16,
@@ -266,7 +273,7 @@ func TestClusterJoinMidRun(t *testing.T) {
 			name = "full"
 		}
 		t.Run(name, func(t *testing.T) {
-			c := NewCluster(16, Config{
+			c := NewShardedCluster(16, 1, Config{
 				Mode:       ModeContent,
 				Membership: membership,
 				Fanout:     5,
@@ -320,7 +327,7 @@ func TestClusterJoinDeterminism(t *testing.T) {
 		c.RunRounds(5)
 		c.Node(1).Publish("t", nil, []byte("z"))
 		c.RunRounds(15)
-		return c.DeliveredTotal() + c.Net.TotalTraffic().MsgsSent*1000
+		return c.DeliveredTotal() + c.TotalTraffic().MsgsSent*1000
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("join broke determinism: %d vs %d", a, b)

@@ -121,13 +121,13 @@ type Config struct {
 	SemanticBias float64
 
 	// BatchRounds replaces the per-node jittered round tickers with one
-	// ticker per cluster (per shard, when sharded) that drives every
-	// node's Round in id order. Large populations trade per-node timer
+	// ticker per shard that drives every resident node's Round in id
+	// order. Large populations trade per-node timer
 	// desynchronisation for far fewer kernel events — at N=100k the
 	// per-node tickers alone are 100k heap entries rescheduled every
 	// round. Off by default: the batched schedule is deterministic but
 	// fires rounds at different instants than the jittered one, so
-	// fixed-seed output differs from the legacy schedule.
+	// fixed-seed output differs from the per-node schedule.
 	BatchRounds bool
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"time"
 
 	"fairgossip/internal/adaptive"
 	"fairgossip/internal/fairness"
@@ -64,19 +65,17 @@ type Node struct {
 	// partner bias (semantic.go).
 	peerFPs map[simnet.NodeID]uint64
 
-	// pool recycles gossip envelopes (pool.go); nil falls back to plain
-	// allocation. When set, event selection goes through SelectInto with
-	// selScratch and buildGossip copies the batch into the envelope's
-	// own recycled backing, so the scratch can be reused next round while
-	// the envelope is still in flight.
+	// pool recycles gossip envelopes (pool.go). Event selection goes
+	// through SelectInto with selScratch and buildGossip copies the batch
+	// into the envelope's own recycled backing, so the scratch can be
+	// reused next round while the envelope is still in flight.
 	pool       *msgPool
 	selScratch []*pubsub.Event
 
-	// auditSink, when set, intercepts novelty audits instead of charging
-	// the ledger directly. The sharded cluster installs one that applies
-	// same-shard audits immediately and defers cross-shard audits to the
-	// round barrier, where they are applied in fixed shard order — the
-	// one write that would otherwise race another shard's controller
+	// auditSink charges novelty audits. The cluster installs one that
+	// applies same-shard audits immediately and defers cross-shard audits
+	// to the round barrier, where they are applied in fixed shard order —
+	// the one write that would otherwise race another shard's controller
 	// read and break fixed-seed reproducibility.
 	auditSink func(from, useful, junk int)
 }
@@ -88,18 +87,21 @@ type topicGroup struct {
 	retryIn int // rounds until the join walk is retried while the view is empty
 }
 
-func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand) *Node {
+func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand,
+	pool *msgPool, auditSink func(from, useful, junk int)) *Node {
 	nd := &Node{
-		id:     id,
-		net:    net,
-		cfg:    cfg,
-		rng:    rng,
-		ledger: ledger,
-		seen:   gossip.NewSeenSet(cfg.SeenCap),
-		buffer: gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
-		groups: make(map[string]*topicGroup),
-		ctrl:   buildController(cfg, n),
-		active: true,
+		id:        id,
+		net:       net,
+		cfg:       cfg,
+		rng:       rng,
+		ledger:    ledger,
+		seen:      gossip.NewSeenSet(cfg.SeenCap),
+		buffer:    gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
+		groups:    make(map[string]*topicGroup),
+		ctrl:      buildController(cfg, n),
+		active:    true,
+		pool:      pool,
+		auditSink: auditSink,
 	}
 	nd.fanout = nd.ctrl.Fanout()
 	nd.batch = nd.ctrl.Batch()
@@ -113,6 +115,11 @@ func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg
 
 // ID returns the node's network identity.
 func (nd *Node) ID() simnet.NodeID { return nd.id }
+
+// Now returns the virtual time on the node's own kernel. Inside a
+// callback such as OnDeliver it is the instant of the event being
+// handled, at any shard count.
+func (nd *Node) Now() time.Duration { return nd.net.Sim().Now() }
 
 // Fanout returns the current fanout lever F_i.
 func (nd *Node) Fanout() int { return nd.fanout }
@@ -352,32 +359,22 @@ func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 	return append(ads, membership.Entry{ID: nd.id, Age: 0})
 }
 
-// selectEvents picks this round's batch from buf. With an envelope pool
-// the selection lands in the node's reusable scratch (SelectInto draws
-// the identical random stream, so pooling never changes a fixed-seed
-// run); buildGossip then copies the batch into the envelope before the
+// selectEvents picks this round's batch from buf into the node's
+// reusable scratch (SelectInto draws the same random stream as Select);
+// buildGossip then copies the batch into the envelope before the
 // scratch's next reuse.
 func (nd *Node) selectEvents(buf *gossip.Buffer) []*pubsub.Event {
-	if nd.pool != nil {
-		return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
-	}
-	return buf.Select(nd.rng, nd.batch, nd.cfg.Policy)
+	return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
 }
 
-// buildGossip assembles one gossip wire message. Pooled envelopes come
-// back with one owner reference; the send paths drop it after the fanout
-// (wireMsg.Release no-ops on plain-allocated messages).
+// buildGossip assembles one pooled gossip wire message. It comes back
+// with one owner reference; the send paths drop it after the fanout.
 func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membership.Entry) *wireMsg {
-	var m *wireMsg
-	if nd.pool != nil {
-		m = nd.pool.get()
-		m.Kind = kindGossip
-		m.Topic = topic
-		m.Events = append(m.Events[:0], events...)
-		m.Ads = append(m.Ads[:0], ads...)
-	} else {
-		m = &wireMsg{Kind: kindGossip, Topic: topic, Events: events, Ads: ads}
-	}
+	m := nd.pool.get()
+	m.Kind = kindGossip
+	m.Topic = topic
+	m.Events = append(m.Events[:0], events...)
+	m.Ads = append(m.Ads[:0], ads...)
 	if nd.Cheat && nd.cfg.JunkPadding > 0 {
 		m.Junk = nd.cfg.JunkPadding
 	}
@@ -645,13 +642,9 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 	}
 	// Novelty audit (§5.2 bias resistance): grade the sender's bytes.
 	// This is the one ledger write aimed at ANOTHER process's account;
-	// sharded clusters route it through auditSink so a remote sender's
-	// controller never races it mid-window.
-	if nd.auditSink != nil {
-		nd.auditSink(int(from), novel, dup)
-		return
-	}
-	nd.ledger.AddAudit(int(from), novel, dup)
+	// it goes through auditSink so a remote shard's sender's controller
+	// never races it mid-window.
+	nd.auditSink(int(from), novel, dup)
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {

@@ -13,7 +13,7 @@ import (
 // network partition reach the other side after healing, as long as they
 // are still alive in some buffer when connectivity returns.
 func TestPartitionHealConvergence(t *testing.T) {
-	c := NewCluster(48, Config{
+	c := NewShardedCluster(48, 1, Config{
 		Mode:         ModeContent,
 		Fanout:       5,
 		Batch:        8,
@@ -32,7 +32,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	for i := range side {
 		side[i] = simnet.NodeID(i)
 	}
-	c.Net.Partition(side)
+	c.Partition(side)
 
 	// Publish one event on each side during the partition.
 	c.Node(0).Publish("left", nil, nil)
@@ -56,7 +56,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 	}
 
 	// Heal and converge.
-	c.Net.Heal()
+	c.Heal()
 	c.RunRounds(25)
 	for i := 0; i < 48; i++ {
 		if got := c.Ledger.Account(i).Delivered; got != 2 {

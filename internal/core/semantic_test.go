@@ -56,7 +56,7 @@ func TestEventFingerprintMatchesTopicSubscription(t *testing.T) {
 }
 
 func TestBiasedPeersFallsBackUniform(t *testing.T) {
-	c := NewCluster(16, Config{Mode: ModeContent, SemanticBias: 0.5}, ClusterOptions{Seed: 1})
+	c := NewShardedCluster(16, 1, Config{Mode: ModeContent, SemanticBias: 0.5}, ClusterOptions{Seed: 1})
 	nd := c.Node(0)
 	// No fingerprints learned yet: uniform sampling still works.
 	got := nd.biasedPeers(4, 0xFFFF)
@@ -75,7 +75,7 @@ func TestBiasedPeersFallsBackUniform(t *testing.T) {
 }
 
 func TestBiasedPeersPrefersBatchOverlap(t *testing.T) {
-	c := NewCluster(16, Config{Mode: ModeContent, SemanticBias: 1.0}, ClusterOptions{Seed: 2})
+	c := NewShardedCluster(16, 1, Config{Mode: ModeContent, SemanticBias: 1.0}, ClusterOptions{Seed: 2})
 	nd := c.Node(0)
 
 	var same, other pubsub.Interest
@@ -97,7 +97,7 @@ func TestBiasedPeersPrefersBatchOverlap(t *testing.T) {
 }
 
 func TestBiasedPeersNoDuplicates(t *testing.T) {
-	c := NewCluster(32, Config{Mode: ModeContent, SemanticBias: 0.5}, ClusterOptions{Seed: 3})
+	c := NewShardedCluster(32, 1, Config{Mode: ModeContent, SemanticBias: 0.5}, ClusterOptions{Seed: 3})
 	nd := c.Node(0)
 	var in pubsub.Interest
 	in.Subscribe(pubsub.Topic("x"))
@@ -126,7 +126,7 @@ func TestSemanticBiasCutsTrafficAtSparseInterest(t *testing.T) {
 	// knowledge" the paper's §5.2 closing paragraph suggests.
 	run := func(bias float64) (delivered, appBytes uint64) {
 		const n, camps = 128, 8
-		c := NewCluster(n, Config{
+		c := NewShardedCluster(n, 1, Config{
 			Mode:         ModeContent,
 			Fanout:       2,
 			Batch:        4,

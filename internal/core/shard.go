@@ -21,12 +21,16 @@ import (
 // merges cross-shard mailboxes and deferred audits in fixed shard
 // order, then opens the next window.
 //
+// One shard is the same window loop with one kernel, one network and one
+// pool: its mailboxes stay empty and every audit applies immediately, so
+// each window is one RunUntil on the only kernel and the output is
+// byte-identical to the single-threaded engine that predates sharding
+// (the shard tests pin digests recorded from that engine).
+//
 // Determinism contract: a run is byte-identical per (seed, shardCount).
 // Different shard counts are different (equally valid) executions —
 // cross-shard messages are quantised to the next barrier, so the event
-// interleaving legitimately depends on the partition. shards <= 1 is
-// special: it wraps the legacy single-threaded Cluster verbatim, so its
-// output is byte-identical to every run that predates sharding.
+// interleaving legitimately depends on the partition.
 //
 // Concurrency model: during a window each shard goroutine touches only
 // its own kernel, network, nodes, outboxes and audit list, plus the
@@ -39,18 +43,26 @@ import (
 // next window's goroutines) read.
 //
 // All mutating methods (Join, Leave, Partition, Publish via Node, ...)
-// must be called from the engine goroutine between windows — exactly
-// the discipline the single-threaded Cluster already imposes.
+// must be called from the engine goroutine between windows.
 type ShardedCluster struct {
 	Ledger *fairness.Ledger
 	Nodes  []*Node
 
-	single *Cluster // non-nil when shards <= 1: the legacy engine
 	shards []*shard
 	cfg    Config
 	seed   int64
 	per    int // ids per shard (shard i owns [i*per, min((i+1)*per, n)))
 	now    time.Duration
+}
+
+// ClusterOptions bundles the environment knobs of a cluster.
+type ClusterOptions struct {
+	// Seed drives all randomness (simulator and per-node streams).
+	Seed int64
+	// NetConfig configures latency and loss (zero value: 1ms, lossless).
+	NetConfig simnet.Config
+	// Weights configures the fairness ledger (zero value: defaults).
+	Weights fairness.Weights
 }
 
 // shard is one partition: a kernel, a full-width network whose remote
@@ -84,9 +96,10 @@ type deferredAudit struct {
 // shardSpan sizes the per-shard id range: an even split, with interior
 // boundaries rounded up to the fairness ledger's chunk size when that
 // still leaves every shard nonempty, so two shards' hot atomic writes
-// never share a chunk.
+// never share a chunk. It is at least 1 even for an empty population,
+// so shardOf can place nodes that Join later.
 func shardSpan(n, shards int) int {
-	per := (n + shards - 1) / shards
+	per := max((n+shards-1)/shards, 1)
 	if aligned := (per + fairness.ChunkSize - 1) / fairness.ChunkSize * fairness.ChunkSize; aligned*(shards-1) < n {
 		return aligned
 	}
@@ -94,17 +107,12 @@ func shardSpan(n, shards int) int {
 }
 
 // NewShardedCluster builds a stopped cluster of n nodes split across
-// the given number of shards. shards <= 1 (or shards >= n falling back
-// to n) wraps the legacy Cluster. Node RNG streams use the same
-// (seed, id) derivation at every shard count.
+// the given number of shards, clamped to [1, n] (and to 1 when n is 0).
+// Call Start (or RunRounds, which starts lazily) to begin gossip rounds.
+// Node RNG streams use the same (seed, id) derivation at every shard
+// count.
 func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *ShardedCluster {
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		c := NewCluster(n, cfg, opts)
-		return &ShardedCluster{single: c, Ledger: c.Ledger, Nodes: c.Nodes, cfg: c.cfg, seed: opts.Seed}
-	}
+	shards = max(min(shards, n), 1)
 	cfg = cfg.withDefaults()
 	ledger := fairness.NewLedger(n, opts.Weights)
 	sc := &ShardedCluster{
@@ -131,8 +139,10 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *ShardedC
 		sc.addNode(i, n)
 	}
 	if cfg.Membership == MemberCyclon {
-		// Same bootstrap stream as the legacy cluster: one rng, nodes in
-		// global id order, so the initial overlay is shard-count-blind.
+		// Bootstrap overlay views with random contacts (a join service in
+		// a deployed system; free here, like handing out a seed-peer
+		// list). One rng, nodes in global id order, so the initial
+		// overlay is shard-count-blind.
 		boot := rand.New(rand.NewSource(opts.Seed + 7))
 		for _, nd := range sc.Nodes {
 			k := cfg.ViewCap / 2
@@ -162,9 +172,8 @@ func (sc *ShardedCluster) addNode(i, n int) {
 			sh.net.AddRemote()
 			continue
 		}
-		nd := newNode(simnet.NodeID(i), sh.net, sc.Ledger, sc.cfg, n, rand.New(rand.NewSource(sc.seed^int64(0x9e3779b9*uint32(i+1)))))
-		nd.pool = sh.pool
-		nd.auditSink = sc.auditSink(sh)
+		rng := rand.New(rand.NewSource(sc.seed ^ int64(0x9e3779b9*uint32(i+1))))
+		nd := newNode(simnet.NodeID(i), sh.net, sc.Ledger, sc.cfg, n, rng, sh.pool, sc.auditSink(sh))
 		sh.net.AddNode(nd)
 		sc.Nodes = append(sc.Nodes, nd)
 	}
@@ -202,36 +211,27 @@ func (sc *ShardedCluster) auditSink(sh *shard) func(from, useful, junk int) {
 func (sc *ShardedCluster) Config() Config { return sc.cfg }
 
 // N returns the current population size.
-func (sc *ShardedCluster) N() int {
-	if sc.single != nil {
-		return len(sc.single.Nodes)
-	}
-	return len(sc.Nodes)
-}
+func (sc *ShardedCluster) N() int { return len(sc.Nodes) }
 
-// Shards returns the shard count (1 for the wrapped legacy engine).
-func (sc *ShardedCluster) Shards() int {
-	if sc.single != nil {
-		return 1
-	}
-	return len(sc.shards)
-}
+// Shards returns the shard count (at least 1).
+func (sc *ShardedCluster) Shards() int { return len(sc.shards) }
 
 // Node returns the i-th node.
-func (sc *ShardedCluster) Node(i int) *Node {
-	if sc.single != nil {
-		return sc.single.Node(i)
+func (sc *ShardedCluster) Node(i int) *Node { return sc.Nodes[i] }
+
+// Steps returns the number of kernel events fired so far, summed over
+// the shards.
+func (sc *ShardedCluster) Steps() uint64 {
+	var steps uint64
+	for _, sh := range sc.shards {
+		steps += sh.sim.Steps()
 	}
-	return sc.Nodes[i]
+	return steps
 }
 
 // Start launches round tickers on every shard (per-node jittered, or one
 // per shard under Config.BatchRounds). Idempotent.
 func (sc *ShardedCluster) Start() {
-	if sc.single != nil {
-		sc.single.Start()
-		return
-	}
 	for _, sh := range sc.shards {
 		if len(sh.tickers) > 0 {
 			continue
@@ -256,10 +256,6 @@ func (sc *ShardedCluster) Start() {
 // Stop halts all round tickers; in-flight messages can still be drained
 // with Drain.
 func (sc *ShardedCluster) Stop() {
-	if sc.single != nil {
-		sc.single.Stop()
-		return
-	}
 	for _, sh := range sc.shards {
 		for _, t := range sh.tickers {
 			t.Stop()
@@ -271,10 +267,6 @@ func (sc *ShardedCluster) Stop() {
 // RunRounds advances virtual time by r round periods, starting the
 // cluster if needed. Each round is one barrier window.
 func (sc *ShardedCluster) RunRounds(r int) {
-	if sc.single != nil {
-		sc.single.RunRounds(r)
-		return
-	}
 	sc.Start()
 	for i := 0; i < r; i++ {
 		sc.runWindow(sc.now + sc.cfg.RoundPeriod)
@@ -320,10 +312,6 @@ func (sc *ShardedCluster) runWindow(deadline time.Duration) {
 // stopped each cross-shard hop costs at most one extra window, so this
 // terminates.
 func (sc *ShardedCluster) Drain() {
-	if sc.single != nil {
-		sc.single.Sim.Run()
-		return
-	}
 	for {
 		idle := true
 		for _, sh := range sc.shards {
@@ -343,14 +331,16 @@ func (sc *ShardedCluster) Drain() {
 	}
 }
 
-// Join boots a new node mid-run (engine goroutine, between windows).
-// The id extends the tail shard's range, so existing ranges never move.
+// Join boots a new node mid-run (engine goroutine, between windows),
+// bootstrapped through seed. Under MemberCyclon the joiner starts with
+// only the seed in its view and pays for a charged view-repair exchange
+// (the same introduction a rejoining node buys); under MemberFull the
+// idealised directory tells every node the new population size for
+// free, the same way the initial roster was free. The joiner's round
+// ticker starts immediately when the cluster is running. The id extends
+// the tail shard's range, so existing ranges never move. Returns the new
+// node's id.
 func (sc *ShardedCluster) Join(seed simnet.NodeID) simnet.NodeID {
-	if sc.single != nil {
-		id := sc.single.Join(seed)
-		sc.Nodes = sc.single.Nodes
-		return id
-	}
 	n := len(sc.Nodes) + 1
 	sc.Ledger.Grow(n)
 	id := len(sc.Nodes)
@@ -370,17 +360,18 @@ func (sc *ShardedCluster) Join(seed simnet.NodeID) simnet.NodeID {
 	}
 	sh := sc.shards[owner]
 	if len(sh.tickers) > 0 && !sc.cfg.BatchRounds {
+		// The batched ticker re-slices the shard's range and already
+		// covers the joiner; only the per-node schedule needs a ticker.
 		sh.tickers = append(sh.tickers, sh.sim.Every(sc.cfg.RoundPeriod, sc.cfg.Jitter, nd.Round))
 	}
 	return simnet.NodeID(id)
 }
 
-// Leave departs node id gracefully.
+// Leave departs node id gracefully (Node.LeaveGracefully): under Cyclon
+// membership the leaver hands its freshest view entries to its
+// neighbours before going offline; under the idealised full sampler it
+// simply goes offline. The sim mirror of live.Cluster.Leave.
 func (sc *ShardedCluster) Leave(id simnet.NodeID) {
-	if sc.single != nil {
-		sc.single.Leave(id)
-		return
-	}
 	if id < 0 || int(id) >= len(sc.Nodes) {
 		return
 	}
@@ -389,9 +380,6 @@ func (sc *ShardedCluster) Leave(id simnet.NodeID) {
 
 // Up reports whether node id is up (checked on its owner network).
 func (sc *ShardedCluster) Up(id simnet.NodeID) bool {
-	if sc.single != nil {
-		return sc.single.Net.Up(id)
-	}
 	if id < 0 || int(id) >= len(sc.Nodes) {
 		return false
 	}
@@ -402,10 +390,6 @@ func (sc *ShardedCluster) Up(id simnet.NodeID) bool {
 // checks run on the destination's owner network, which therefore needs
 // the full partition map regardless of where the sender lives.
 func (sc *ShardedCluster) Partition(side []simnet.NodeID) {
-	if sc.single != nil {
-		sc.single.Net.Partition(side)
-		return
-	}
 	for _, sh := range sc.shards {
 		sh.net.Partition(side)
 	}
@@ -413,10 +397,6 @@ func (sc *ShardedCluster) Partition(side []simnet.NodeID) {
 
 // Heal removes any partition on every shard.
 func (sc *ShardedCluster) Heal() {
-	if sc.single != nil {
-		sc.single.Net.Heal()
-		return
-	}
 	for _, sh := range sc.shards {
 		sh.net.Heal()
 	}
@@ -424,10 +404,6 @@ func (sc *ShardedCluster) Heal() {
 
 // SetLoss sets the drop probability on every shard's network.
 func (sc *ShardedCluster) SetLoss(p float64) {
-	if sc.single != nil {
-		sc.single.Net.SetLoss(p)
-		return
-	}
 	for _, sh := range sc.shards {
 		sh.net.SetLoss(p)
 	}
@@ -435,10 +411,6 @@ func (sc *ShardedCluster) SetLoss(p float64) {
 
 // SetLatency swaps the latency model on every shard's network.
 func (sc *ShardedCluster) SetLatency(m simnet.LatencyModel) {
-	if sc.single != nil {
-		sc.single.Net.SetLatency(m)
-		return
-	}
 	for _, sh := range sc.shards {
 		sh.net.SetLatency(m)
 	}
@@ -449,31 +421,21 @@ func (sc *ShardedCluster) SetLatency(m simnet.LatencyModel) {
 // source shard, receives and delivery-time drops on the destination
 // shard), so the sum is the whole-population truth.
 func (sc *ShardedCluster) TotalTraffic() simnet.Traffic {
-	if sc.single != nil {
-		return sc.single.Net.TotalTraffic()
-	}
-	var t simnet.Traffic
-	for _, sh := range sc.shards {
-		st := sh.net.TotalTraffic()
-		t.MsgsSent += st.MsgsSent
-		t.BytesSent += st.BytesSent
-		t.MsgsRecv += st.MsgsRecv
-		t.BytesRecv += st.BytesRecv
-		t.Dropped += st.Dropped
-	}
-	return t
+	return sc.sumTraffic((*simnet.Network).TotalTraffic)
 }
 
 // Stats sums one node's traffic counters across shards (its owner shard
 // holds almost everything; destination shards hold delivery-time drops
 // charged back to it).
 func (sc *ShardedCluster) Stats(id simnet.NodeID) simnet.Traffic {
-	if sc.single != nil {
-		return sc.single.Net.Stats(id)
-	}
+	return sc.sumTraffic(func(net *simnet.Network) simnet.Traffic { return net.Stats(id) })
+}
+
+// sumTraffic adds up one counter set over every shard's network.
+func (sc *ShardedCluster) sumTraffic(of func(*simnet.Network) simnet.Traffic) simnet.Traffic {
 	var t simnet.Traffic
 	for _, sh := range sc.shards {
-		st := sh.net.Stats(id)
+		st := of(sh.net)
 		t.MsgsSent += st.MsgsSent
 		t.BytesSent += st.BytesSent
 		t.MsgsRecv += st.MsgsRecv
@@ -495,7 +457,9 @@ func (sc *ShardedCluster) DeliveredTotal() uint64 {
 	return total
 }
 
-// DeliveryRatio mirrors Cluster.DeliveryRatio.
+// DeliveryRatio returns, for an event expected at `interested` many
+// nodes, the fraction of them that delivered at least `minEach` events.
+// Experiments use it as the reliability metric.
 func (sc *ShardedCluster) DeliveryRatio(interested []int, minEach uint64) float64 {
 	if len(interested) == 0 {
 		return 1
@@ -507,11 +471,4 @@ func (sc *ShardedCluster) DeliveryRatio(interested []int, minEach uint64) float6
 		}
 	}
 	return float64(ok) / float64(len(interested))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -9,8 +9,8 @@ import (
 	"fairgossip/internal/simnet"
 )
 
-func topicCluster(n int, seed int64) *Cluster {
-	return NewCluster(n, Config{
+func topicCluster(n int, seed int64) *ShardedCluster {
+	return NewShardedCluster(n, 1, Config{
 		Mode:   ModeTopics,
 		Fanout: 4,
 		Batch:  8,

@@ -23,7 +23,7 @@ import (
 func leverTrace(opts Options, spec core.ControllerSpec, windows, f0, n0 int, limits adaptive.Limits) (meanConv, p90Conv, meanFinal float64) {
 	n := pick(opts.Small, 64, 128)
 	stocks := workload.NewStocks(16)
-	c := core.NewCluster(n, core.Config{
+	c := core.NewShardedCluster(n, 1, core.Config{
 		Mode:          core.ModeContent,
 		Fanout:        f0,
 		Batch:         n0,
@@ -136,7 +136,7 @@ func ExpA3(opts Options) []Table {
 		Cols:  []string{"fanout_min", "ln_n", "delivery_ratio"},
 	}
 	for fmin := 1; fmin <= lnN+2; fmin++ {
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode:   core.ModeContent,
 			Fanout: fmin, // adaptation target 0 keeps everyone at the floor
 			Batch:  4,
@@ -214,7 +214,7 @@ func runLatencyProbe(seed int64, n, batch int, pol gossip.Policy) (ratio, meanLa
 		Batch:  batch,
 		Policy: pol,
 	}
-	c := core.NewCluster(n, cfg, core.ClusterOptions{Seed: seed, NetConfig: defaultNet()})
+	c := core.NewShardedCluster(n, 1, cfg, core.ClusterOptions{Seed: seed, NetConfig: defaultNet()})
 	period := c.Config().RoundPeriod
 
 	publishedAt := make(map[pubsub.EventID]int) // event -> publish round
@@ -225,7 +225,7 @@ func runLatencyProbe(seed int64, n, batch int, pol gossip.Policy) (ratio, meanLa
 		c.Node(i).Subscribe(pubsub.MatchAll())
 		c.Node(i).OnDeliver = func(ev *pubsub.Event) {
 			if at, ok := publishedAt[ev.ID]; ok {
-				round := int(c.Sim.Now() / period)
+				round := int(c.Node(i).Now() / period)
 				latencies = append(latencies, float64(round-at))
 				deliveries++
 			}
@@ -239,7 +239,7 @@ func runLatencyProbe(seed int64, n, batch int, pol gossip.Policy) (ratio, meanLa
 		for k := 0; k < perRound; k++ {
 			pub := rng.Intn(n)
 			id := c.Node(pub).Publish("probe", nil, make([]byte, 32))
-			publishedAt[id] = int(c.Sim.Now() / period)
+			publishedAt[id] = int(c.Node(pub).Now() / period)
 			// The publisher's own (immediate) delivery is not measured:
 			// it happens before the event ID is known to the probe.
 			expected += n - 1
@@ -269,7 +269,7 @@ func ExpA5(opts Options) []Table {
 		{"static", core.ControllerSpec{Kind: core.ControllerStatic}},
 		{"adaptive", core.ControllerSpec{Kind: core.ControllerAIMD, TargetRatio: 2500}},
 	} {
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode:       core.ModeContent,
 			Fanout:     int(math.Ceil(math.Log(float64(n)))) + 2,
 			Batch:      8,
@@ -317,7 +317,7 @@ func ExpA5(opts Options) []Table {
 		for _, id := range scenario.SampleDistinct(rng, n, n/5, nil) {
 			c.Node(id).Leave()
 		}
-		c.Net.SetLoss(0.10)
+		c.SetLoss(0.10)
 		c.RunRounds(10) // let membership digest the failures
 		post := probe(3)
 
@@ -339,7 +339,7 @@ func ExpA5(opts Options) []Table {
 func ExpA6(opts Options) []Table {
 	n := pick(opts.Small, 64, 128)
 	const cheater = 3
-	c := core.NewCluster(n, core.Config{
+	c := core.NewShardedCluster(n, 1, core.Config{
 		Mode:        core.ModeContent,
 		Fanout:      5,
 		Batch:       4,

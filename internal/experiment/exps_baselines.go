@@ -111,7 +111,7 @@ func ExpT1(opts Options) []Table {
 
 	// FairGossip topic-group run with the same subscriptions.
 	{
-		c := core.NewCluster(n, core.Config{Mode: core.ModeTopics, Fanout: 4, Batch: 8},
+		c := core.NewShardedCluster(n, 1, core.Config{Mode: core.ModeTopics, Fanout: 4, Batch: 8},
 			core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})
 		for i := 0; i < n; i++ {
 			for _, topic := range nodeSubs[i] {
@@ -262,7 +262,7 @@ func ExpT3(opts Options) []Table {
 		name      string
 		slowJoins bool
 	}{{"storm-join", false}, {"trickle-join", true}} {
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode: core.ModeTopics, Fanout: 4, Batch: 8,
 			Membership: core.MemberFull, // isolate walk relays from shuffle noise
 		}, core.ClusterOptions{Seed: opts.Seed, NetConfig: defaultNet()})
@@ -357,7 +357,7 @@ func ExpT4(opts Options) []Table {
 	// FairGossip adaptive with graded selectivity.
 	{
 		stocks := workload.NewStocks(16)
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode:       core.ModeContent,
 			Fanout:     5,
 			Batch:      8,
@@ -402,7 +402,7 @@ func ExpT5(opts Options) []Table {
 		{"adaptive", core.ControllerSpec{Kind: core.ControllerAIMD, TargetRatio: 2500}},
 	} {
 		stocks := workload.NewStocks(16)
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode:          core.ModeContent,
 			Fanout:        5,
 			Batch:         8,

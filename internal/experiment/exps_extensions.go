@@ -103,7 +103,7 @@ func ExpX2(opts Options) []Table {
 }
 
 func runSemantic(seed int64, n, camps, rounds int, bias float64) (delivered, appBytes uint64) {
-	c := core.NewCluster(n, core.Config{
+	c := core.NewShardedCluster(n, 1, core.Config{
 		Mode:         core.ModeContent,
 		Fanout:       2,
 		Batch:        4,

@@ -121,7 +121,7 @@ func ExpF3(opts Options) []Table {
 		conv.Cols = append(conv.Cols, v.name)
 		stocks := workload.NewStocks(16)
 		rng := rand.New(rand.NewSource(opts.Seed + 500))
-		c := core.NewCluster(n, core.Config{
+		c := core.NewShardedCluster(n, 1, core.Config{
 			Mode:       core.ModeContent,
 			Fanout:     5,
 			Batch:      8,

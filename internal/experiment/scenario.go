@@ -30,7 +30,7 @@ func defaultNet() simnet.Config {
 // topics drawn by popularity. It returns the cluster, the topic set, and
 // the per-topic subscriber lists.
 type topicScenario struct {
-	cluster *core.Cluster
+	cluster *core.ShardedCluster
 	topics  *workload.Topics
 	subsOf  map[string][]int
 	rng     *rand.Rand
@@ -42,7 +42,7 @@ func newTopicScenario(n, k, maxSubs int, cfg core.Config, seed int64) *topicScen
 		subsOf: make(map[string][]int, k),
 		rng:    rand.New(rand.NewSource(seed + 101)),
 	}
-	s.cluster = core.NewCluster(n, cfg, core.ClusterOptions{
+	s.cluster = core.NewShardedCluster(n, 1, cfg, core.ClusterOptions{
 		Seed:      seed,
 		NetConfig: defaultNet(),
 	})

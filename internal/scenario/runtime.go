@@ -26,7 +26,7 @@ const (
 
 // Runtime is the small surface a scenario needs from a cluster: the three
 // pub/sub operations, fault injection, membership growth, and time. It
-// is implemented by both the deterministic simulation (core.Cluster) and
+// is implemented by both the deterministic simulation (core.ShardedCluster) and
 // the goroutine-per-peer runtime (live.Cluster), which is what makes
 // differential testing possible: one seeded schedule, two runtimes, the
 // same invariants.
@@ -118,8 +118,8 @@ const simRound = 100 * time.Millisecond
 const simBaseLatency = 2 * time.Millisecond
 
 // SimRuntime adapts core.ShardedCluster (deterministic discrete-event
-// sim, optionally split across per-core shards; Shards=1 is the legacy
-// single-threaded engine byte-for-byte).
+// sim, optionally split across per-core shards; Shards=1 runs one shard
+// of the same window loop).
 type SimRuntime struct {
 	C *core.ShardedCluster
 

@@ -7,7 +7,7 @@
 // fairness-ratio convergence under the AIMD controller).
 //
 // Scenarios run against the small Runtime interface, implemented by the
-// deterministic simulation (core.Cluster) and the goroutine-per-peer
+// deterministic simulation (core.ShardedCluster) and the goroutine-per-peer
 // runtime (live.Cluster) on either of its transports — in-process
 // channels ("live") or real loopback UDP sockets ("live-udp"). The same
 // seeded schedule therefore drives every runtime and must satisfy the
@@ -58,7 +58,7 @@ type Scenario struct {
 	// the live ledger has no churn-penalty hook wired yet).
 	RepairPenalty float64
 	// Shards splits the sim column's kernel across that many per-core
-	// shards (default 1 = the legacy single-threaded engine, byte-for-
+	// shards (default 1, which reproduces pre-shard results byte for
 	// byte). Runs are deterministic per (seed, Shards); different shard
 	// counts are different, equally valid executions because cross-shard
 	// messages quantise to round barriers. Live columns ignore it.
