@@ -2,8 +2,9 @@
 
 GO      ?= go
 PKGS    := ./...
-# End-to-end experiment benchmarks live in the repo root; per-package
-# micro-benchmarks (eventsim, simnet, fairness, gossip) ride along.
+# End-to-end experiment benchmarks live in the repo root; `make
+# microbench` runs the per-package ones (eventsim, simnet, fairness,
+# wire, gossip).
 BENCH   ?= .
 OUT     ?= results
 
@@ -51,7 +52,7 @@ bench:
 	$(GO) run ./cmd/fairbench -small -huge -out $(OUT)
 
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/ ./internal/wire/ ./internal/gossip/
 
 vet:
 	$(GO) vet $(PKGS)

@@ -24,6 +24,7 @@ var pinnedHotpaths = []struct{ file, fn string }{
 	{"../../simnet/net.go", "Send"},
 	{"../../live/live.go", "round"},
 	{"../../live/live.go", "gossip"},
+	{"../../live/live.go", "receiveEvents"},
 	{"../../randutil/perm.go", "PermInto"},
 }
 
@@ -58,14 +59,14 @@ func TestPinnedHotpaths(t *testing.T) {
 }
 
 // TestPinnedHotpathClosure pins the interprocedural contract behind
-// the annotations. It recomputes the transitive closure of the six
+// the annotations. It recomputes the transitive closure of the seven
 // pinned hot paths — every function they reach through statically
 // resolved, unhatched ordinary calls — and asserts (a) the closure
 // actually extends beyond the annotated bodies, (b) it crosses the
 // package boundary the facts layer exists for (live's gossip round
 // into the shared buffer's selection helper), and (c) the hotpath rule
 // finds nothing anywhere in the tree, so every closure member is
-// allocation-free, not just the six annotated roots.
+// allocation-free, not just the seven annotated roots.
 func TestPinnedHotpathClosure(t *testing.T) {
 	pkgs, err := analysis.Load("../../..", "./...")
 	if err != nil {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -520,10 +521,17 @@ func (r *Run) RebindPeer(id int) {
 	r.noteFaultLocked()
 }
 
-// Resubscribe drops all of a node's subscriptions and draws a fresh
-// interest set. Pending events the node is no longer interested in are
-// released from its eligibility.
+// Resubscribe draws a fresh interest set for a node and drops every
+// subscription outside it. A topic the node draws again keeps its
+// subscription: dropping and re-adding it would open a window, on the
+// live runtimes, in which an arriving event of that topic is marked
+// seen but not delivered while the model still holds the node eligible.
+// Pending events the node is no longer interested in are released from
+// its eligibility.
 func (r *Run) Resubscribe(id int) {
+	count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
+	next := r.topics.SampleSet(r.Rng, count)
+	held := make(map[string]bool, len(next))
 	// Model first, runtime second (mirroring subscribe): a delivery
 	// racing the unsubscribe is legitimised by the >= comparison in
 	// onDeliver, never by a stale model.
@@ -533,10 +541,13 @@ func (r *Run) Resubscribe(id int) {
 		if r.subs[id][k].to != -1 {
 			continue
 		}
+		topic, _ := pubsub.TopicOf(r.subs[id][k].f)
+		if slices.Contains(next, topic) && !held[topic] {
+			held[topic] = true
+			continue
+		}
 		r.subs[id][k].to = r.Round
-		rec := r.subs[id][k]
-		active = append(active, rec)
-		topic, _ := pubsub.TopicOf(rec.f)
+		active = append(active, r.subs[id][k])
 		peers := r.subsOf[topic]
 		for j, p := range peers {
 			if p == id {
@@ -549,9 +560,10 @@ func (r *Run) Resubscribe(id int) {
 	for _, rec := range active {
 		r.rt.Unsubscribe(id, rec.sub)
 	}
-	count := workload.SubCount(r.Rng, 1, r.sc.MaxSubs)
-	for _, topic := range r.topics.SampleSet(r.Rng, count) {
-		r.subscribe(id, topic, r.Round)
+	for _, topic := range next {
+		if !held[topic] {
+			r.subscribe(id, topic, r.Round)
+		}
 	}
 	// Release pending events this node no longer matches.
 	r.mu.Lock()

@@ -595,3 +595,43 @@ func TestOneShardStormReproducesLegacy(t *testing.T) {
 		t.Fatalf("Shards=1 diverged from the legacy column: digest %s, want %s\n%s", got, stormLegacyDigest, res)
 	}
 }
+
+// TestResubscribeKeepsRedrawnTopics: a node that draws a topic it
+// already holds keeps that subscription instead of dropping and
+// re-adding it. On the live runtimes the drop/re-add pair is two
+// separate calls into the peer, and an event arriving between them was
+// marked seen but never delivered while the model still held the node
+// eligible — a spurious eventual-delivery miss in sub-churn.
+func TestResubscribeKeepsRedrawnTopics(t *testing.T) {
+	sc := Scenario{
+		Name:    "resubscribe-same-topic",
+		N:       12,
+		Rounds:  8,
+		Topics:  1, // every draw is the one topic
+		MaxSubs: 1,
+		Steps: []Step{
+			{Round: 3, Action: Action{Name: "resubscribe all", Do: func(r *Run) {
+				for id := 0; id < r.N(); id++ {
+					r.Resubscribe(id)
+				}
+			}}},
+		},
+	}
+	inspected := false
+	testInspect = func(r *Run) {
+		inspected = true
+		for id, subs := range r.subs {
+			if len(subs) != 1 || subs[0].to != -1 || subs[0].from != -1 {
+				t.Errorf("node %d: subscriptions %+v, want the warm-up one still active", id, subs)
+			}
+		}
+	}
+	defer func() { testInspect = nil }()
+	res := Execute(NewSimRuntime(sc, 12), sc, 12)
+	if !res.Ok() {
+		t.Fatalf("violations:\n%s", res.String())
+	}
+	if !inspected {
+		t.Fatal("inspection hook never ran")
+	}
+}

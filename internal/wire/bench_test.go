@@ -101,3 +101,29 @@ func BenchmarkWireDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWireScan measures the validating scan of the same 8-event
+// envelope as BenchmarkWireDecode, peeking every record's id and size
+// — the receiver cost of a batch it already has (0 allocs/op: nothing
+// is built until a record proves novel).
+func BenchmarkWireScan(b *testing.B) {
+	buf, err := AppendEnvelope(nil, 1, benchBatch())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var env Envelope
+	var sink uint64
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	for i := 0; i < b.N; i++ {
+		if err := ScanEnvelope(buf, &env); err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < env.Records(); r++ {
+			sink += uint64(env.RecordID(r).Seq) + uint64(env.RecordSize(r))
+		}
+	}
+	if sink == 0 {
+		b.Fatal("no records peeked")
+	}
+}

@@ -117,7 +117,15 @@ var (
 // Envelope is one decoded protocol message: its kind, the sending
 // peer, and the kind's payload — Events for KindEvents, Entries for
 // the membership kinds (the other slice is always empty).
-// DecodeEnvelope reuses the Events and Entries backing arrays across
+//
+// An event batch is read in two steps. ScanEnvelope validates the whole
+// envelope in one pass that allocates nothing and records where each
+// event record starts; RecordID and RecordSize then peek at a record
+// and Record builds one event on demand, so a receiver that already has
+// most of a batch builds only the novel events. DecodeEnvelope is the
+// same validating pass, materialising every record into Events.
+//
+// Both reuse the Events, Entries and offset backing arrays across
 // calls; the *pubsub.Event values themselves are freshly allocated and
 // never alias the input buffer, so receivers own them outright.
 type Envelope struct {
@@ -125,6 +133,9 @@ type Envelope struct {
 	Sender  uint32
 	Events  []*pubsub.Event
 	Entries []ViewEntry
+
+	data []byte // the scanned envelope, until Release (KindEvents only)
+	offs []int  // start offset in data of each event record
 }
 
 // EnvelopeSize returns the exact number of bytes AppendEnvelope will
@@ -169,14 +180,34 @@ func AppendEnvelope(dst []byte, sender uint32, events []*pubsub.Event) ([]byte, 
 	return dst, nil
 }
 
-// DecodeEnvelope decodes data into env. The whole buffer must be
-// consumed exactly: short input, trailing bytes, a count/body-length
-// mismatch, or any malformed record is an error.
+// ScanEnvelope validates data and loads its header into env without
+// building any event: it accepts exactly the envelopes DecodeEnvelope
+// accepts, and once env's backing arrays have grown it allocates
+// nothing. The whole buffer must be consumed exactly: short input,
+// trailing bytes, a count/body-length mismatch, or any malformed record
+// is an error. Membership entries are decoded into Entries; event
+// records stay in data, read through RecordID, RecordSize and Record.
+//
+// On success env references data until Release or the next scan, so
+// the caller must not modify data in between; on error it references
+// nothing.
+func ScanEnvelope(data []byte, env *Envelope) error { return env.load(data, false) }
+
+// DecodeEnvelope decodes data into env: the scan, with every event
+// record materialised into env.Events as the scan passes it. It
+// accepts exactly what ScanEnvelope accepts. The decoded events own
+// their memory, so env keeps no reference to data afterwards.
 func DecodeEnvelope(data []byte, env *Envelope) error {
-	env.Kind = KindEvents
-	env.Sender = 0
-	env.Events = env.Events[:0]
-	env.Entries = env.Entries[:0]
+	err := env.load(data, true)
+	env.Release()
+	return err
+}
+
+// load is the envelope validator behind ScanEnvelope and DecodeEnvelope.
+// With build set it also materialises each event record into Events in
+// the same pass. A malformed event batch leaves env empty.
+func (env *Envelope) load(data []byte, build bool) error {
+	env.reset()
 	if len(data) < HeaderSize {
 		return fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(data), HeaderSize)
 	}
@@ -213,22 +244,86 @@ func DecodeEnvelope(data []byte, env *Envelope) error {
 		}
 		return nil
 	}
-	// Cheap hostile-count guard before any event allocation.
+	// Cheap hostile-count guard before the walk.
 	if count*eventMinSize > body {
 		return fmt.Errorf("%w: %d events cannot fit in %d body bytes", ErrCorrupt, count, body)
 	}
 	r := reader{buf: data, off: HeaderSize}
-	for i := 0; i < count; i++ {
-		ev, err := readEvent(&r)
-		if err != nil {
-			return err
+	for i := 0; i < count && r.err == nil; i++ {
+		env.offs = append(env.offs, r.off)
+		var e *pubsub.Event
+		if build {
+			e = &pubsub.Event{}
+			env.Events = append(env.Events, e)
 		}
-		env.Events = append(env.Events, ev)
+		walkEvent(&r, e)
 	}
-	if r.off != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes after %d events", ErrCorrupt, len(data)-r.off, count)
+	if r.err == nil && r.off != len(data) {
+		r.err = fmt.Errorf("%w: %d trailing bytes after %d events", ErrCorrupt, len(data)-r.off, count)
 	}
+	if r.err != nil {
+		env.reset()
+		return r.err
+	}
+	env.data = data
 	return nil
+}
+
+// reset empties env. The Events array is cleared up to its capacity,
+// not just resliced, so a reused Envelope does not keep a previous,
+// longer batch's events reachable.
+func (env *Envelope) reset() {
+	env.Kind = KindEvents
+	env.Sender = 0
+	clear(env.Events[:cap(env.Events)])
+	env.Events = env.Events[:0]
+	env.Entries = env.Entries[:0]
+	env.Release()
+}
+
+// Release drops env's reference to the scanned buffer, so a long-lived
+// Envelope does not pin the last datagram it read. RecordID, RecordSize
+// and Record are invalid until the next scan.
+func (env *Envelope) Release() {
+	env.data = nil
+	env.offs = env.offs[:0]
+}
+
+// Records returns the number of event records the last scan found
+// (0 for membership kinds and after Release).
+func (env *Envelope) Records() int { return len(env.offs) }
+
+// RecordID returns the ID of event record i without building the event.
+func (env *Envelope) RecordID(i int) pubsub.EventID {
+	b := env.data[env.offs[i]:]
+	return pubsub.EventID{
+		Publisher: binary.BigEndian.Uint32(b[0:4]),
+		Seq:       binary.BigEndian.Uint32(b[4:8]),
+	}
+}
+
+// RecordSize returns the encoded length of event record i — by the
+// codec's layout invariant, the WireSize of the event Record(i) builds.
+func (env *Envelope) RecordSize(i int) int { return env.end(i) - env.offs[i] }
+
+// Record builds event record i of a successful scan (before Release).
+// The event owns all of its memory — nothing aliases the scanned buffer.
+func (env *Envelope) Record(i int) *pubsub.Event {
+	r := reader{buf: env.data[:env.end(i)], off: env.offs[i]}
+	e := &pubsub.Event{}
+	if walkEvent(&r, e); r.err != nil {
+		// The scan validated this exact byte range.
+		panic("wire: Record on a record the scan did not accept")
+	}
+	return e
+}
+
+// end returns the offset one past event record i.
+func (env *Envelope) end(i int) int {
+	if i+1 < len(env.offs) {
+		return env.offs[i+1]
+	}
+	return len(env.data)
 }
 
 // MembershipSize returns the exact number of bytes AppendMembership
@@ -317,14 +412,14 @@ func AppendEvent(dst []byte, e *pubsub.Event) ([]byte, error) {
 // enforces too).
 func DecodeEvent(data []byte) (*pubsub.Event, error) {
 	r := reader{buf: data}
-	ev, err := readEvent(&r)
-	if err != nil {
-		return nil, err
+	e := &pubsub.Event{}
+	if walkEvent(&r, e); r.err != nil {
+		return nil, r.err
 	}
 	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-r.off)
 	}
-	return ev, nil
+	return e, nil
 }
 
 // AppendEventID appends the 8-byte encoding of an event ID.
@@ -345,27 +440,35 @@ func DecodeEventID(data []byte) (pubsub.EventID, error) {
 	}, nil
 }
 
-// readEvent decodes one event record at the reader's cursor. The
-// returned event owns all of its memory — nothing aliases r.buf.
-func readEvent(r *reader) (*pubsub.Event, error) {
-	e := &pubsub.Event{}
-	e.ID.Publisher = r.u32()
-	e.ID.Seq = r.u32()
-	e.Topic = string(r.take(int(r.u16())))
+// walkEvent advances r over one event record, validating every field;
+// a malformed record leaves the first error in r.err. It is the codec's
+// only record validator. With e nil it builds nothing and allocates
+// nothing (the scan); otherwise it fills e, copying every string and
+// the payload out of r.buf so that e owns all of its memory.
+func walkEvent(r *reader, e *pubsub.Event) {
+	pub, seq := r.u32(), r.u32()
+	topic := r.take(int(r.u16()))
 	nattrs := int(r.u16())
 	if r.err == nil && nattrs*attrMinSize > r.rem() {
 		r.fail(fmt.Errorf("%w: %d attributes cannot fit in %d bytes", ErrCorrupt, nattrs, r.rem()))
 	}
-	if nattrs > 0 && r.err == nil {
-		e.Attrs = make([]pubsub.Attr, 0, nattrs)
+	if e != nil && r.err == nil {
+		e.ID = pubsub.EventID{Publisher: pub, Seq: seq}
+		e.Topic = string(topic)
+		if nattrs > 0 {
+			e.Attrs = make([]pubsub.Attr, 0, nattrs)
+		}
 	}
 	for i := 0; i < nattrs && r.err == nil; i++ {
-		key := string(r.take(int(r.u16())))
+		key := r.take(int(r.u16()))
 		kind := pubsub.Kind(r.u8())
 		var v pubsub.Value
 		switch kind {
 		case pubsub.KindString:
-			v = pubsub.String(string(r.take(int(r.u16()))))
+			s := r.take(int(r.u16()))
+			if e != nil {
+				v = pubsub.String(string(s))
+			}
 		case pubsub.KindNum:
 			v = pubsub.Num(math.Float64frombits(r.u64()))
 		case pubsub.KindBool:
@@ -380,19 +483,18 @@ func readEvent(r *reader) (*pubsub.Event, error) {
 		default:
 			r.fail(fmt.Errorf("%w: invalid attribute kind %d", ErrCorrupt, kind))
 		}
-		e.Attrs = append(e.Attrs, pubsub.Attr{Key: key, Val: v})
+		if e != nil {
+			e.Attrs = append(e.Attrs, pubsub.Attr{Key: string(key), Val: v})
+		}
 	}
 	plen := int(r.u32())
 	if r.err == nil && plen > r.rem() {
 		r.fail(fmt.Errorf("%w: payload of %d bytes with %d remaining", ErrTruncated, plen, r.rem()))
 	}
-	if plen > 0 && r.err == nil {
-		e.Payload = append([]byte(nil), r.take(plen)...)
+	payload := r.take(plen)
+	if e != nil && plen > 0 && r.err == nil {
+		e.Payload = append([]byte(nil), payload...)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return e, nil
 }
 
 // reader is a bounds-checked cursor that records the first error and

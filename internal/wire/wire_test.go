@@ -461,3 +461,90 @@ func TestRandomisedRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestScanPeeksRecordsWithoutBuilding: after ScanEnvelope, each
+// record's id and size are readable straight off the wire bytes and
+// Record builds the same event the encoder was given. The scan and the
+// peeks allocate nothing once the Envelope's arrays have grown.
+func TestScanPeeksRecordsWithoutBuilding(t *testing.T) {
+	batch := sampleEvents()
+	buf, err := AppendEnvelope(nil, 9, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env Envelope
+	if err := ScanEnvelope(buf, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Sender != 9 || env.Kind != KindEvents || env.Records() != len(batch) || len(env.Events) != 0 {
+		t.Fatalf("scan header: sender %d kind %d records %d events %d", env.Sender, env.Kind, env.Records(), len(env.Events))
+	}
+	for i, want := range batch {
+		if env.RecordID(i) != want.ID || env.RecordSize(i) != want.WireSize() {
+			t.Fatalf("record %d: id %v size %d, want %v %d", i, env.RecordID(i), env.RecordSize(i), want.ID, want.WireSize())
+		}
+		eventsEqual(t, env.Record(i), want)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if ScanEnvelope(buf, &env) != nil {
+			t.Fatal("rescan failed")
+		}
+		for i := 0; i < env.Records(); i++ {
+			_, _ = env.RecordID(i), env.RecordSize(i)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("scan allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestReusedEnvelopeDropsStaleEvents: a reused Envelope must not keep a
+// previous batch's events reachable through its Events backing array
+// once it holds a shorter batch or a membership message, and must not
+// keep the scanned buffer once released, decoded, or rejected.
+func TestReusedEnvelopeDropsStaleEvents(t *testing.T) {
+	batch := make([]*pubsub.Event, 8)
+	for i := range batch {
+		batch[i] = &pubsub.Event{ID: pubsub.EventID{Publisher: 1, Seq: uint32(i)}, Topic: "t"}
+	}
+	evBuf, err := AppendEnvelope(nil, 1, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memBuf, err := AppendMembership(nil, KindShuffleOffer, 2, []ViewEntry{{ID: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env Envelope
+	if err := DecodeEnvelope(evBuf, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.data != nil {
+		t.Fatal("DecodeEnvelope kept the input buffer after building every event")
+	}
+	if err := DecodeEnvelope(memBuf, &env); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range env.Events[:cap(env.Events)] {
+		if ev != nil {
+			t.Fatalf("Events[%d] still points at %v after a membership decode", i, ev.ID)
+		}
+	}
+
+	if err := ScanEnvelope(evBuf, &env); err != nil {
+		t.Fatal(err)
+	}
+	env.Release()
+	if env.data != nil || env.Records() != 0 {
+		t.Fatal("Release kept the scanned buffer")
+	}
+	if err := ScanEnvelope(evBuf, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := ScanEnvelope(evBuf[:len(evBuf)-1], &env); err == nil {
+		t.Fatal("truncated envelope accepted")
+	}
+	if env.data != nil || env.Records() != 0 {
+		t.Fatal("a rejected scan kept the buffer or its records")
+	}
+}
