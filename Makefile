@@ -4,7 +4,7 @@ GO      ?= go
 PKGS    := ./...
 # End-to-end experiment benchmarks live in the repo root; `make
 # microbench` runs the per-package ones (eventsim, simnet, fairness,
-# wire, gossip).
+# wire, gossip, proto).
 BENCH   ?= .
 OUT     ?= results
 
@@ -39,7 +39,7 @@ test:
 # shard between round barriers (ledger chunks, mailboxes, the envelope
 # pool freelist are all crossed by those goroutines).
 race:
-	$(GO) test -race -shuffle=on ./internal/core/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/
+	$(GO) test -race -shuffle=on ./internal/core/ ./internal/fairness/ ./internal/gossip/ ./internal/live/ ./internal/eventsim/ ./internal/simnet/ ./internal/scenario/ ./internal/transport/ ./internal/wire/ ./internal/membership/ ./internal/proto/
 
 # bench runs the Go benchmarks, then regenerates the dated
 # BENCH_<date>.json run record via fairbench — every bench invocation
@@ -52,7 +52,7 @@ bench:
 	$(GO) run ./cmd/fairbench -small -huge -out $(OUT)
 
 microbench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/ ./internal/wire/ ./internal/gossip/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/eventsim/ ./internal/simnet/ ./internal/fairness/ ./internal/wire/ ./internal/gossip/ ./internal/proto/
 
 vet:
 	$(GO) vet $(PKGS)

@@ -498,7 +498,7 @@ func checkBoxing(info *types.Info, target types.Type, arg ast.Expr, report hotRe
 
 // scratchReuse reports whether the append target provably derives from
 // a s[:0]-style reset of reused scratch storage, the sanctioned
-// amortized-zero pattern (randutil.PermInto, live samplePeers).
+// amortized-zero pattern (randutil.PermInto, View.SampleInto).
 func scratchReuse(info *types.Info, defs map[types.Object]ast.Expr, e ast.Expr, depth int) bool {
 	if depth > 8 {
 		return false

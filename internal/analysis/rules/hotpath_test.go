@@ -23,8 +23,9 @@ var pinnedHotpaths = []struct{ file, fn string }{
 	{"../../eventsim/sim.go", "ScheduleMsg"},
 	{"../../simnet/net.go", "Send"},
 	{"../../live/live.go", "round"},
-	{"../../live/live.go", "gossip"},
-	{"../../live/live.go", "receiveEvents"},
+	{"../../live/live.go", "Push"},
+	{"../../proto/peer.go", "Disseminate"},
+	{"../../proto/peer.go", "Receive"},
 	{"../../randutil/perm.go", "PermInto"},
 }
 
@@ -59,14 +60,14 @@ func TestPinnedHotpaths(t *testing.T) {
 }
 
 // TestPinnedHotpathClosure pins the interprocedural contract behind
-// the annotations. It recomputes the transitive closure of the seven
+// the annotations. It recomputes the transitive closure of the eight
 // pinned hot paths — every function they reach through statically
 // resolved, unhatched ordinary calls — and asserts (a) the closure
 // actually extends beyond the annotated bodies, (b) it crosses the
-// package boundary the facts layer exists for (live's gossip round
-// into the shared buffer's selection helper), and (c) the hotpath rule
+// package boundary the facts layer exists for (the peer core's push
+// round into the buffer's selection helper), and (c) the hotpath rule
 // finds nothing anywhere in the tree, so every closure member is
-// allocation-free, not just the seven annotated roots.
+// allocation-free, not just the eight annotated roots.
 func TestPinnedHotpathClosure(t *testing.T) {
 	pkgs, err := analysis.Load("../../..", "./...")
 	if err != nil {
@@ -153,7 +154,7 @@ func TestPinnedHotpathClosure(t *testing.T) {
 	}
 	const crossPkg = "(*fairgossip/internal/gossip.Buffer).SelectInto"
 	if !closure[crossPkg] {
-		t.Errorf("closure is missing %s: the live round path no longer reaches the buffer selection helper across packages (closure: %d members)", crossPkg, len(closure))
+		t.Errorf("closure is missing %s: the peer core's push round no longer reaches the buffer selection helper across packages (closure: %d members)", crossPkg, len(closure))
 	}
 
 	findings, err := analysis.Run(pkgs, []*analysis.Analyzer{rules.Hotpath}, rules.Known())

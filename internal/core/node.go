@@ -5,45 +5,32 @@ import (
 	"sort"
 	"time"
 
-	"fairgossip/internal/adaptive"
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
+	"fairgossip/internal/proto"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 )
 
-// Node is one FairGossip process. It implements simnet.Handler; the
-// cluster drives its Round method from a jittered per-node ticker.
+// Node is one FairGossip process: the simulator's driver of the shared
+// peer core (proto.Peer), which it embeds — publication, delivery,
+// receive, the content-mode round and the lever update are the Peer's,
+// and so are the promoted OnDeliver hook, Fanout, Batch and Interest.
+// Node adds what only the simulator runs: topic groups and walks,
+// semantic bias, cheat padding, Cyclon shuffles over simnet and view
+// repair. It implements simnet.Handler; the cluster drives its Round
+// method from a jittered per-node ticker.
 //
 // Nodes are single-threaded: all methods run on the simulator goroutine.
 type Node struct {
-	id     simnet.NodeID
-	net    *simnet.Network
-	cfg    Config
-	rng    *rand.Rand
-	ledger *fairness.Ledger
+	proto.Peer
 
-	interest   pubsub.Interest
-	seen       *gossip.SeenSet
-	buffer     *gossip.Buffer         // content-mode event buffer
+	net        *simnet.Network
+	cfg        Config
 	groups     map[string]*topicGroup // topic-mode groups this node is in
 	groupOrder []string               // sorted group topics (deterministic rounds)
-
-	cyclon *membership.Cyclon // nil when MemberFull
-	full   membership.FullSampler
-
-	ctrl     adaptive.Controller
-	lastAcct fairness.Account
-	fanout   int
-	batch    int
-
-	round  int
-	pubSeq uint32
-	active bool
-
-	// OnDeliver, when set, observes every delivered event.
-	OnDeliver func(*pubsub.Event)
+	active     bool
 
 	// Cheat makes this node pad every outgoing gossip message with
 	// cfg.JunkPadding bytes of worthless data (EXP-A6).
@@ -65,12 +52,11 @@ type Node struct {
 	// partner bias (semantic.go).
 	peerFPs map[simnet.NodeID]uint64
 
-	// pool recycles gossip envelopes (pool.go). Event selection goes
-	// through SelectInto with selScratch and buildGossip copies the batch
-	// into the envelope's own recycled backing, so the scratch can be
-	// reused next round while the envelope is still in flight.
-	pool       *msgPool
-	selScratch []*pubsub.Event
+	// pool recycles gossip envelopes (pool.go). The Peer selects events
+	// into its scratch and buildGossip copies the batch into the
+	// envelope's own recycled backing, so the scratch can be reused next
+	// round while the envelope is still in flight.
+	pool *msgPool
 
 	// auditSink charges novelty audits. The cluster installs one that
 	// applies same-shard audits immediately and defers cross-shard audits
@@ -90,42 +76,38 @@ type topicGroup struct {
 func newNode(id simnet.NodeID, net *simnet.Network, ledger *fairness.Ledger, cfg Config, n int, rng *rand.Rand,
 	pool *msgPool, auditSink func(from, useful, junk int)) *Node {
 	nd := &Node{
-		id:        id,
+		Peer: proto.Peer{
+			Self:          id,
+			Rng:           rng,
+			Ledger:        ledger,
+			Seen:          gossip.NewSeenSet(cfg.SeenCap),
+			Buffer:        gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
+			Ctrl:          buildController(cfg, n),
+			Policy:        cfg.Policy,
+			ControlWindow: cfg.ControlWindow,
+		},
 		net:       net,
 		cfg:       cfg,
-		rng:       rng,
-		ledger:    ledger,
-		seen:      gossip.NewSeenSet(cfg.SeenCap),
-		buffer:    gossip.NewBuffer(cfg.BufferCap, cfg.BufferMaxAge),
 		groups:    make(map[string]*topicGroup),
-		ctrl:      buildController(cfg, n),
 		active:    true,
 		pool:      pool,
 		auditSink: auditSink,
 	}
-	nd.fanout = nd.ctrl.Fanout()
-	nd.batch = nd.ctrl.Batch()
 	if cfg.Membership == MemberCyclon {
-		nd.cyclon = membership.NewCyclon(membership.NewView(id, cfg.ViewCap), cfg.ShuffleLen)
+		nd.Cyclon = membership.NewCyclon(membership.NewView(id, cfg.ViewCap), cfg.ShuffleLen)
 	} else {
-		nd.full = membership.FullSampler{Self: id, N: n}
+		nd.Full = membership.FullSampler{Self: id, N: n}
 	}
 	return nd
 }
 
 // ID returns the node's network identity.
-func (nd *Node) ID() simnet.NodeID { return nd.id }
+func (nd *Node) ID() simnet.NodeID { return nd.Self }
 
 // Now returns the virtual time on the node's own kernel. Inside a
 // callback such as OnDeliver it is the instant of the event being
 // handled, at any shard count.
 func (nd *Node) Now() time.Duration { return nd.net.Sim().Now() }
-
-// Fanout returns the current fanout lever F_i.
-func (nd *Node) Fanout() int { return nd.fanout }
-
-// Batch returns the current gossip-message-size lever N_i.
-func (nd *Node) Batch() int { return nd.batch }
 
 // Active reports whether the node is participating.
 func (nd *Node) Active() bool { return nd.active }
@@ -134,37 +116,26 @@ func (nd *Node) Active() bool { return nd.active }
 // relayed on behalf of others.
 func (nd *Node) WalkRelays() uint64 { return nd.walkRelays }
 
-// Interest exposes the node's interest function (read-only use).
-func (nd *Node) Interest() *pubsub.Interest { return &nd.interest }
-
 // SetPopulation updates the idealised full sampler's population after a
 // join (no-op under Cyclon, whose views learn of joiners through
 // charged shuffle traffic instead).
-func (nd *Node) SetPopulation(n int) { nd.full.N = n }
+func (nd *Node) SetPopulation(n int) { nd.Full.N = n }
 
 // bootstrapView seeds the overlay view (cluster wiring).
 func (nd *Node) bootstrapView(ids []simnet.NodeID) {
-	if nd.cyclon == nil {
+	if nd.Cyclon == nil {
 		return
 	}
 	for _, id := range ids {
-		nd.cyclon.View().Add(id)
+		nd.Cyclon.View().Add(id)
 	}
-}
-
-// overlayPeers samples k partners from the overlay substrate.
-func (nd *Node) overlayPeers(k int) []simnet.NodeID {
-	if nd.cyclon != nil {
-		return nd.cyclon.View().Sample(nd.rng, k)
-	}
-	return nd.full.SamplePeers(nd.rng, k)
 }
 
 // send transmits a wire message and charges the ledger.
 func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 	size := m.size()
-	nd.net.Send(nd.id, to, m, size)
-	nd.ledger.AddSend(int(nd.id), class, size)
+	nd.net.Send(nd.Self, to, m, size)
+	nd.Ledger.AddSend(int(nd.Self), class, size)
 }
 
 // --- Public API: the three operations of §2 -------------------------------
@@ -173,8 +144,7 @@ func (nd *Node) send(to simnet.NodeID, m *wireMsg, class fairness.Class) {
 // mode, plain topic filters additionally join the topic's gossip group
 // through a random-walk subscription (§5.1).
 func (nd *Node) Subscribe(f pubsub.Filter) pubsub.SubID {
-	id := nd.interest.Subscribe(f)
-	nd.ledger.SetFilters(int(nd.id), nd.interest.Count())
+	id := nd.Peer.Subscribe(f)
 	if nd.cfg.Mode == ModeTopics {
 		if topic, ok := pubsub.TopicOf(f); ok {
 			nd.joinGroup(topic)
@@ -187,14 +157,12 @@ func (nd *Node) Subscribe(f pubsub.Filter) pubsub.SubID {
 // gossip groups no remaining filter selects; its stale view entries age
 // out of other members' views.
 func (nd *Node) Unsubscribe(id pubsub.SubID) bool {
-	ok := nd.interest.Unsubscribe(id)
-	if !ok {
+	if !nd.Peer.Unsubscribe(id) {
 		return false
 	}
-	nd.ledger.SetFilters(int(nd.id), nd.interest.Count())
 	if nd.cfg.Mode == ModeTopics {
 		for _, topic := range nd.groupOrder {
-			if !nd.interest.HasTopic(topic) {
+			if !nd.Interest().HasTopic(topic) {
 				delete(nd.groups, topic)
 			}
 		}
@@ -216,17 +184,7 @@ func (nd *Node) rebuildGroupOrder() {
 // publisher that is not itself subscribed hands the event to a group
 // member via a publication walk.
 func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsub.EventID {
-	nd.pubSeq++
-	ev := &pubsub.Event{
-		ID:      pubsub.EventID{Publisher: uint32(nd.id), Seq: nd.pubSeq},
-		Topic:   topic,
-		Attrs:   attrs,
-		Payload: payload,
-	}
-	nd.ledger.AddPublish(int(nd.id), ev.WireSize())
-	nd.seen.Add(ev.ID)
-	nd.deliverIfInterested(ev)
-
+	ev := nd.Peer.Publish(topic, attrs, payload)
 	if nd.cfg.Mode == ModeTopics {
 		if g, ok := nd.groups[topic]; ok {
 			g.buffer.Insert(ev)
@@ -234,7 +192,7 @@ func (nd *Node) Publish(topic string, attrs []pubsub.Attr, payload []byte) pubsu
 			nd.publishWalk(ev)
 		}
 	} else {
-		nd.buffer.Insert(ev)
+		nd.Buffer.Insert(ev)
 	}
 	return ev.ID
 }
@@ -248,46 +206,43 @@ func (nd *Node) Round() {
 	if !nd.active {
 		return
 	}
-	nd.round++
-
-	if nd.cyclon != nil && nd.round%nd.cfg.ShuffleEvery == 0 {
+	round := nd.BeginRound()
+	if nd.Cyclon != nil && round%nd.cfg.ShuffleEvery == 0 {
 		nd.initiateShuffle()
 	}
-
-	switch nd.cfg.Mode {
-	case ModeTopics:
-		nd.roundTopics()
+	switch {
+	case nd.cfg.Mode == ModeTopics:
+		nd.roundTopics(round)
+	case nd.cfg.SemanticBias > 0:
+		nd.roundSemantic()
 	default:
-		nd.roundContent()
+		nd.Disseminate((*gossipOut)(nd), nd.FreeRide)
 	}
-
-	if nd.round%nd.cfg.ControlWindow == 0 {
-		nd.updateController()
-	}
+	nd.EndRound()
 }
 
-func (nd *Node) roundContent() {
-	if nd.FreeRide {
-		nd.buffer.Tick()
-		return
-	}
-	events := nd.selectEvents(nd.buffer)
-	switch {
-	case len(events) == 0:
-	case nd.cfg.SemanticBias > 0:
-		// Semantic mode sends topic-coherent sub-batches: a mixed batch
-		// has a blurred fingerprint that matches everyone, so the bias
-		// needs per-topic messages to have a signal.
-		for _, group := range splitByTopic(events) {
+// gossipOut is the Node as the content-mode proto.Outbox: one shared
+// gossip message to every partner.
+type gossipOut Node
+
+func (o *gossipOut) Push(to []simnet.NodeID, events []*pubsub.Event) {
+	(*Node)(o).sendGossipAll(to, "", events, nil)
+}
+
+// roundSemantic is the content-mode round under semantic bias. It sends
+// topic-coherent sub-batches: a mixed batch has a blurred fingerprint
+// that matches everyone, so the bias needs per-topic messages to have a
+// signal.
+func (nd *Node) roundSemantic() {
+	if !nd.FreeRide {
+		for _, group := range splitByTopic(nd.SelectEvents(nd.Buffer)) {
 			fp := batchFingerprint(group)
-			for _, q := range nd.biasedPeers(nd.fanout, fp) {
+			for _, q := range nd.biasedPeers(nd.Fanout(), fp) {
 				nd.sendGossip(q, "", group, nil)
 			}
 		}
-	default:
-		nd.sendGossipAll(nd.overlayPeers(nd.fanout), "", events, nil)
 	}
-	nd.buffer.Tick()
+	nd.Buffer.Tick()
 }
 
 // splitByTopic partitions a batch into per-topic groups, in sorted topic
@@ -309,7 +264,7 @@ func splitByTopic(events []*pubsub.Event) [][]*pubsub.Event {
 	return out
 }
 
-func (nd *Node) roundTopics() {
+func (nd *Node) roundTopics(round int) {
 	minView := nd.cfg.TopicViewCap / 4
 	if minView < 1 {
 		minView = 1
@@ -336,15 +291,15 @@ func (nd *Node) roundTopics() {
 		// (and keeps benefiting) while contributing nothing.
 		var events []*pubsub.Event
 		if !nd.FreeRide {
-			events = nd.selectEvents(g.buffer)
+			events = nd.SelectEvents(g.buffer)
 		}
-		heartbeat := nd.round%4 == 0
+		heartbeat := round%4 == 0
 		if len(events) == 0 && !heartbeat {
 			g.buffer.Tick()
 			continue
 		}
 		ads := nd.groupAds(g)
-		nd.sendGossipAll(g.view.Sample(nd.rng, nd.fanout), topic, events, ads)
+		nd.sendGossipAll(g.view.Sample(nd.Rng, nd.Fanout()), topic, events, ads)
 		g.buffer.Tick()
 	}
 }
@@ -353,18 +308,10 @@ func (nd *Node) roundTopics() {
 // group views alive without a directory service.
 func (nd *Node) groupAds(g *topicGroup) []membership.Entry {
 	ads := make([]membership.Entry, 0, nd.cfg.AdLen+1)
-	for _, id := range g.view.Sample(nd.rng, nd.cfg.AdLen) {
+	for _, id := range g.view.Sample(nd.Rng, nd.cfg.AdLen) {
 		ads = append(ads, membership.Entry{ID: id, Age: 1})
 	}
-	return append(ads, membership.Entry{ID: nd.id, Age: 0})
-}
-
-// selectEvents picks this round's batch from buf into the node's
-// reusable scratch (SelectInto draws the same random stream as Select);
-// buildGossip then copies the batch into the envelope before the
-// scratch's next reuse.
-func (nd *Node) selectEvents(buf *gossip.Buffer) []*pubsub.Event {
-	return buf.SelectInto(nd.rng, &nd.selScratch, nd.batch, nd.cfg.Policy)
+	return append(ads, membership.Entry{ID: nd.Self, Age: 0})
 }
 
 // buildGossip assembles one pooled gossip wire message. It comes back
@@ -379,7 +326,7 @@ func (nd *Node) buildGossip(topic string, events []*pubsub.Event, ads []membersh
 		m.Junk = nd.cfg.JunkPadding
 	}
 	if nd.cfg.SemanticBias > 0 {
-		m.FP = interestFingerprint(&nd.interest)
+		m.FP = interestFingerprint(nd.Interest())
 		m.FPAds = nd.fpAds(2)
 	}
 	return m
@@ -410,28 +357,16 @@ func (nd *Node) sendGossipAll(peers []simnet.NodeID, topic string, events []*pub
 	m := nd.buildGossip(topic, events, ads)
 	size := m.size()
 	for _, q := range peers {
-		nd.net.Send(nd.id, q, m, size)
-		nd.ledger.AddSend(int(nd.id), fairness.ClassApp, size)
+		nd.net.Send(nd.Self, q, m, size)
+		nd.Ledger.AddSend(int(nd.Self), fairness.ClassApp, size)
 	}
 	m.Release()
-}
-
-func (nd *Node) updateController() {
-	acct := nd.ledger.Account(int(nd.id))
-	delta := fairness.Delta(acct, nd.lastAcct)
-	nd.lastAcct = acct
-	w := nd.ledger.Weights()
-	sample := adaptive.Sample{
-		Benefit:      fairness.Benefit(delta, w),
-		Contribution: fairness.Contribution(delta, w),
-	}
-	nd.fanout, nd.batch = nd.ctrl.Update(sample)
 }
 
 // --- Membership ------------------------------------------------------------
 
 func (nd *Node) initiateShuffle() {
-	target, offer, ok := nd.cyclon.InitiateShuffle(nd.rng)
+	target, offer, ok := nd.Cyclon.InitiateShuffle(nd.Rng)
 	if !ok {
 		return
 	}
@@ -445,7 +380,7 @@ func (nd *Node) joinGroup(topic string) {
 		return
 	}
 	nd.groups[topic] = &topicGroup{
-		view:   membership.NewView(nd.id, nd.cfg.TopicViewCap),
+		view:   membership.NewView(nd.Self, nd.cfg.TopicViewCap),
 		buffer: gossip.NewBuffer(nd.cfg.BufferCap, nd.cfg.BufferMaxAge),
 	}
 	nd.rebuildGroupOrder()
@@ -455,7 +390,7 @@ func (nd *Node) joinGroup(topic string) {
 // subscribeWalk launches a random walk that terminates at some subscriber
 // of the topic, which replies with group-bootstrap entries.
 func (nd *Node) subscribeWalk(topic string) {
-	contacts := nd.overlayPeers(1)
+	contacts := nd.Partners(1)
 	if len(contacts) == 0 {
 		return
 	}
@@ -463,7 +398,7 @@ func (nd *Node) subscribeWalk(topic string) {
 	nd.send(contacts[0], &wireMsg{
 		Kind:   kindSubWalk,
 		Topic:  topic,
-		Origin: nd.id,
+		Origin: nd.Self,
 		Hops:   nd.cfg.WalkHopLimit,
 	}, fairness.ClassInfra)
 }
@@ -471,7 +406,7 @@ func (nd *Node) subscribeWalk(topic string) {
 // publishWalk hands an event from a non-subscribed publisher to the
 // topic's group.
 func (nd *Node) publishWalk(ev *pubsub.Event) {
-	contacts := nd.overlayPeers(1)
+	contacts := nd.Partners(1)
 	if len(contacts) == 0 {
 		return
 	}
@@ -480,7 +415,7 @@ func (nd *Node) publishWalk(ev *pubsub.Event) {
 		Kind:   kindPubWalk,
 		Topic:  ev.Topic,
 		Events: []*pubsub.Event{ev},
-		Origin: nd.id,
+		Origin: nd.Self,
 		Hops:   nd.cfg.WalkHopLimit,
 	}, fairness.ClassInfra)
 }
@@ -490,7 +425,7 @@ func (nd *Node) publishWalk(ev *pubsub.Event) {
 // Leave takes the node offline without notice.
 func (nd *Node) Leave() {
 	nd.active = false
-	nd.net.SetUp(nd.id, false)
+	nd.net.SetUp(nd.Self, false)
 }
 
 // LeaveGracefully departs with notice — the sim mirror of the live
@@ -503,24 +438,10 @@ func (nd *Node) LeaveGracefully() {
 	if !nd.active {
 		return
 	}
-	if nd.cyclon != nil {
-		ents := nd.cyclon.View().Entries()
-		sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
-		k := nd.cyclon.ShuffleLen()
-		for _, to := range ents {
-			hand := make([]membership.Entry, 0, k)
-			for _, e := range ents {
-				if len(hand) == k {
-					break
-				}
-				if e.ID != to.ID {
-					hand = append(hand, e)
-				}
-			}
-			// Each message owns its slice: simnet delivers payloads later,
-			// by reference.
-			nd.send(to.ID, &wireMsg{Kind: kindLeave, Entries: hand}, fairness.ClassInfra)
-		}
+	if nd.Cyclon != nil {
+		nd.Cyclon.HandOff(func(to simnet.NodeID, hand []membership.Entry) {
+			nd.send(to, &wireMsg{Kind: kindLeave, Entries: hand}, fairness.ClassInfra)
+		})
 	}
 	nd.Leave()
 }
@@ -529,11 +450,11 @@ func (nd *Node) LeaveGracefully() {
 // bootstrap contact and charging the configured instability penalty.
 func (nd *Node) Rejoin(bootstrap simnet.NodeID) {
 	nd.active = true
-	nd.net.SetUp(nd.id, true)
+	nd.net.SetUp(nd.Self, true)
 	if nd.cfg.RepairPenalty > 0 {
-		nd.ledger.AddChurnPenalty(int(nd.id), nd.cfg.RepairPenalty)
+		nd.Ledger.AddChurnPenalty(int(nd.Self), nd.cfg.RepairPenalty)
 	}
-	if nd.cyclon != nil {
+	if nd.Cyclon != nil {
 		nd.send(bootstrap, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
 	}
 	// Re-join all topic groups (stale views may point to departed peers).
@@ -556,16 +477,16 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	case kindGossip:
 		nd.handleGossip(msg.From, m)
 	case kindShuffle:
-		if nd.cyclon == nil {
+		if nd.Cyclon == nil {
 			return
 		}
-		reply := nd.cyclon.HandleShuffle(nd.rng, msg.From, m.Entries)
+		reply := nd.Cyclon.HandleShuffle(nd.Rng, msg.From, m.Entries)
 		nd.send(msg.From, &wireMsg{Kind: kindShuffleReply, Entries: reply}, fairness.ClassInfra)
 	case kindShuffleReply:
-		if nd.cyclon == nil {
+		if nd.Cyclon == nil {
 			return
 		}
-		nd.cyclon.HandleReply(msg.From, m.Entries)
+		nd.Cyclon.HandleReply(msg.From, m.Entries)
 	case kindSubWalk:
 		nd.handleSubWalk(msg.From, m)
 	case kindSubAck:
@@ -573,32 +494,32 @@ func (nd *Node) HandleMessage(msg simnet.Message) {
 	case kindPubWalk:
 		nd.handlePubWalk(msg.From, m)
 	case kindViewRepair:
-		if nd.cyclon == nil {
+		if nd.Cyclon == nil {
 			return
 		}
 		nd.send(msg.From, &wireMsg{
 			Kind:    kindViewRepairAck,
-			Entries: nd.cyclon.View().Entries(),
+			Entries: nd.Cyclon.View().Entries(),
 		}, fairness.ClassInfra)
 		// Knowing the requester is alive is free information: remember it,
 		// so a joining node becomes reachable the moment its seed answers.
-		nd.cyclon.View().Add(msg.From)
+		nd.Cyclon.View().Add(msg.From)
 	case kindViewRepairAck:
-		if nd.cyclon == nil {
+		if nd.Cyclon == nil {
 			return
 		}
 		for _, e := range m.Entries {
-			nd.cyclon.View().AddAged(e)
+			nd.Cyclon.View().AddAged(e)
 		}
 	case kindLeave:
-		if nd.cyclon == nil {
+		if nd.Cyclon == nil {
 			return
 		}
 		// Forget the leaver, adopt the replacement contacts it handed over.
-		nd.cyclon.View().Remove(msg.From)
+		nd.Cyclon.View().Remove(msg.From)
 		for _, e := range m.Entries {
 			if e.ID != msg.From {
-				nd.cyclon.View().AddAged(e)
+				nd.Cyclon.View().AddAged(e)
 			}
 		}
 	}
@@ -611,40 +532,25 @@ func (nd *Node) handleGossip(from simnet.NodeID, m *wireMsg) {
 			nd.rememberFingerprint(ad.ID, ad.FP)
 		}
 	}
-	novel, dup := 0, m.Junk
-	var g *topicGroup
+	fwd := nd.Buffer
 	if nd.cfg.Mode == ModeTopics {
-		g = nd.groups[m.Topic]
-		if g != nil {
+		// Fair-by-structure: only group members re-forward. Events for
+		// groups we are not in are delivered (if interesting) but never
+		// buffered for forwarding.
+		fwd = nil
+		if g := nd.groups[m.Topic]; g != nil {
 			for _, ad := range m.Ads {
 				g.view.AddAged(ad)
 			}
+			fwd = g.buffer
 		}
 	}
-	for _, ev := range m.Events {
-		if !nd.seen.Add(ev.ID) {
-			dup += ev.WireSize()
-			continue
-		}
-		novel += ev.WireSize()
-		switch {
-		case nd.cfg.Mode == ModeTopics:
-			// Fair-by-structure: only group members re-forward. Events
-			// for groups we are not in are delivered (if interesting)
-			// but never buffered for forwarding.
-			if g != nil {
-				g.buffer.Insert(ev)
-			}
-		default:
-			nd.buffer.Insert(ev)
-		}
-		nd.deliverIfInterested(ev)
-	}
+	novel, dup := nd.Receive(m, fwd)
 	// Novelty audit (§5.2 bias resistance): grade the sender's bytes.
 	// This is the one ledger write aimed at ANOTHER process's account;
 	// it goes through auditSink so a remote shard's sender's controller
 	// never races it mid-window.
-	nd.auditSink(int(from), novel, dup)
+	nd.auditSink(int(from), novel, dup+m.Junk)
 }
 
 func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
@@ -652,10 +558,10 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 		// We are a subscriber: answer with bootstrap entries and adopt
 		// the new member.
 		entries := make([]membership.Entry, 0, nd.cfg.ShuffleLen+1)
-		for _, id := range g.view.Sample(nd.rng, nd.cfg.ShuffleLen) {
+		for _, id := range g.view.Sample(nd.Rng, nd.cfg.ShuffleLen) {
 			entries = append(entries, membership.Entry{ID: id, Age: 1})
 		}
-		entries = append(entries, membership.Entry{ID: nd.id, Age: 0})
+		entries = append(entries, membership.Entry{ID: nd.Self, Age: 0})
 		nd.send(m.Origin, &wireMsg{Kind: kindSubAck, Topic: m.Topic, Entries: entries}, fairness.ClassInfra)
 		g.view.Add(m.Origin)
 		return
@@ -665,9 +571,9 @@ func (nd *Node) handleSubWalk(from simnet.NodeID, m *wireMsg) {
 		return // walk dies
 	}
 	nd.walkRelays++
-	next := nd.overlayPeers(1)
+	next := nd.Partners(1)
 	if len(next) == 0 || next[0] == from {
-		next = nd.overlayPeers(1)
+		next = nd.Partners(1)
 	}
 	if len(next) == 0 {
 		return
@@ -690,21 +596,16 @@ func (nd *Node) handleSubAck(m *wireMsg) {
 
 func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
 	if g, ok := nd.groups[m.Topic]; ok {
-		for _, ev := range m.Events {
-			if nd.seen.Add(ev.ID) {
-				g.buffer.Insert(ev)
-				nd.deliverIfInterested(ev)
-			}
-		}
+		nd.Receive(m, g.buffer)
 		return
 	}
 	if m.Hops <= 1 {
 		return
 	}
 	nd.walkRelays++
-	next := nd.overlayPeers(1)
+	next := nd.Partners(1)
 	if len(next) == 0 || next[0] == from {
-		next = nd.overlayPeers(1)
+		next = nd.Partners(1)
 	}
 	if len(next) == 0 {
 		return
@@ -713,16 +614,6 @@ func (nd *Node) handlePubWalk(from simnet.NodeID, m *wireMsg) {
 	fwd.Hops = m.Hops - 1
 	fwd.pool, fwd.refs = nil, 0 // the forwarded copy is plain-allocated
 	nd.send(next[0], &fwd, fairness.ClassInfra)
-}
-
-func (nd *Node) deliverIfInterested(ev *pubsub.Event) {
-	if !nd.interest.Match(ev) {
-		return
-	}
-	nd.ledger.AddDelivery(int(nd.id))
-	if nd.OnDeliver != nil {
-		nd.OnDeliver(ev)
-	}
 }
 
 var _ simnet.Handler = (*Node)(nil)

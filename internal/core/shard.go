@@ -152,7 +152,7 @@ func NewShardedCluster(n, shards int, cfg Config, opts ClusterOptions) *ShardedC
 			ids := make([]simnet.NodeID, 0, k)
 			for len(ids) < k && n > 1 {
 				cand := simnet.NodeID(boot.Intn(n))
-				if cand != nd.id {
+				if cand != nd.Self {
 					ids = append(ids, cand)
 				}
 			}
@@ -350,7 +350,7 @@ func (sc *ShardedCluster) Join(seed simnet.NodeID) simnet.NodeID {
 	nd := sc.Nodes[id]
 	if sc.cfg.Membership == MemberCyclon {
 		if seed >= 0 && int(seed) < id {
-			nd.cyclon.View().Add(seed)
+			nd.Cyclon.View().Add(seed)
 			nd.send(seed, &wireMsg{Kind: kindViewRepair}, fairness.ClassInfra)
 		}
 	} else {

@@ -90,3 +90,11 @@ func (m *wireMsg) size() int {
 	}
 	return n
 }
+
+// Records, RecordID, RecordSize and Record make a gossip or publication
+// walk message a proto.Records batch. Its events are already built, so
+// every record is free to read.
+func (m *wireMsg) Records() int                  { return len(m.Events) }
+func (m *wireMsg) RecordID(i int) pubsub.EventID { return m.Events[i].ID }
+func (m *wireMsg) RecordSize(i int) int          { return m.Events[i].WireSize() }
+func (m *wireMsg) Record(i int) *pubsub.Event    { return m.Events[i] }

@@ -7,7 +7,8 @@
 // The package provides the event buffer with age-based garbage collection,
 // the duplicate-suppression set, the event-selection policies (an ablation
 // axis), and a self-contained Peer used by the baseline reliability
-// experiments (EXP-F4). The full fairness-aware protocol in internal/core
+// experiments (EXP-F4). The fairness-aware peer core in internal/proto,
+// which the simulator (internal/core) and the live runtime both drive,
 // composes the same pieces.
 package gossip
 

@@ -8,61 +8,6 @@ import (
 	"fairgossip/internal/pubsub"
 )
 
-// TestLiveSamplePeersZeroAlloc: SELECTPARTICIPANTS used to build a
-// map[int]struct{} plus a fresh slice on every round of every peer; the
-// view-sampling port must allocate nothing once its scratch buffers are
-// warm.
-func TestLiveSamplePeersZeroAlloc(t *testing.T) {
-	c := mustCluster(t, Config{N: 32, Fanout: 5, Seed: 21})
-	p := c.peerAt(0)
-	p.samplePeers(5) // warm the scratch buffers
-	if avg := testing.AllocsPerRun(200, func() { p.samplePeers(5) }); avg != 0 {
-		t.Fatalf("samplePeers allocates %.2f times per call, want 0", avg)
-	}
-}
-
-// TestLiveSamplePeersDrawsFromTheView: partner selection reads the
-// peer's partial view only — distinct partners, never self, every one
-// a current view member, and an oversized k is capped at the view size
-// (not the population: nothing on this path may know the population).
-func TestLiveSamplePeersDrawsFromTheView(t *testing.T) {
-	c := mustCluster(t, Config{N: 40, ViewCap: 8, Seed: 22})
-	p := c.peerAt(3)
-	inView := func() map[int]bool {
-		m := map[int]bool{}
-		for _, e := range p.cyclon.View().Entries() {
-			m[int(e.ID)] = true
-		}
-		return m
-	}
-	for trial := 0; trial < 200; trial++ {
-		view := inView()
-		got := p.samplePeers(4)
-		if want := min(4, len(view)); len(got) != want {
-			t.Fatalf("sampled %d peers, want %d", len(got), want)
-		}
-		seen := map[int]bool{}
-		for _, q := range got {
-			if q == 3 {
-				t.Fatal("sampled self")
-			}
-			if !view[q] {
-				t.Fatalf("peer %d is not in the view %v", q, view)
-			}
-			if seen[q] {
-				t.Fatalf("duplicate peer %d", q)
-			}
-			seen[q] = true
-		}
-	}
-	if got := p.samplePeers(99); len(got) != p.cyclon.View().Len() {
-		t.Fatalf("oversized k: %d peers, want the whole view (%d)", len(got), p.cyclon.View().Len())
-	}
-	if got := p.samplePeers(0); got != nil {
-		t.Fatalf("k=0 sampled %v", got)
-	}
-}
-
 // TestLiveRoundPathAllocs pins the steady-state allocation budget of
 // the full round path (SELECTEVENTS + encode + fanout sends + tick):
 // exactly the one by-design allocation — the envelope buffer shared

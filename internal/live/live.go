@@ -1,9 +1,11 @@
 // Package live is the real-concurrency runtime: one goroutine per peer,
 // a pluggable transport as the links, and wall-clock tickers for gossip
-// rounds. It runs the same content-mode FairGossip protocol as
-// internal/core but against Go's scheduler instead of the deterministic
-// simulator — the form a deployed system (and the runnable examples)
-// would use.
+// rounds. Each peer drives the shared peer core (internal/proto) that
+// the simulator's core.Node drives too — publication, delivery, the
+// dedupe-before-build receive, the content-mode push round and the
+// lever update are written once, there — but against Go's scheduler
+// instead of the deterministic simulator: the form a deployed system
+// (and the runnable examples) would use.
 //
 // Messages move as encoded bytes: each round a peer packs its selected
 // events into one wire envelope (internal/wire) and hands the bytes to
@@ -46,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,7 @@ import (
 	"fairgossip/internal/fairness"
 	"fairgossip/internal/gossip"
 	"fairgossip/internal/membership"
+	"fairgossip/internal/proto"
 	"fairgossip/internal/pubsub"
 	"fairgossip/internal/simnet"
 	"fairgossip/internal/transport"
@@ -277,25 +279,17 @@ type Cluster struct {
 	mu      sync.Mutex // guards started/stopped and structural growth (Join)
 }
 
+// peer is live's driver of the shared peer core: it adds the goroutine,
+// the transport, wire encoding, the failure detector and the join
+// handshake around the embedded proto.Peer.
 type peer struct {
+	proto.Peer
 	id       int
 	c        *Cluster
-	rng      *rand.Rand
 	tr       transport.Transport
 	inbox    chan []byte
 	cmds     chan func()
-	buffer   *gossip.Buffer
-	seen     *gossip.SeenSet
-	in       pubsub.Interest
-	ctrl     adaptive.Controller
-	cyclon   *membership.Cyclon
 	joinSeed int // seed to (re)announce to while the view is empty; -1 for founders
-	fanout   int
-	batch    int
-	rounds   int
-	last     fairness.Account
-	pubSeq   uint32
-	deliver  func(*pubsub.Event)
 
 	// Failure-detector state (peer-goroutine-owned): the outstanding
 	// shuffle probe and the evidence ledger behind eviction decisions.
@@ -315,12 +309,9 @@ type peer struct {
 	free  atomic.Bool
 	group atomic.Int32
 
-	env     wire.Envelope      // scan scratch: backing arrays are reused
-	targets []simnet.NodeID    // SampleInto scratch for partner selection
-	sample  []int              // int-converted partner scratch
-	sel     []*pubsub.Event    // SelectInto scratch: the selection dies at encode
-	entOut  []wire.ViewEntry   // membership encode scratch
-	entIn   []membership.Entry // membership decode conversion scratch
+	env    wire.Envelope      // scan scratch: backing arrays are reused
+	entOut []wire.ViewEntry   // membership encode scratch
+	entIn  []membership.Entry // membership decode conversion scratch
 }
 
 // NewCluster builds a stopped cluster. The only error source is the
@@ -382,7 +373,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				added--
 				continue
 			}
-			p.cyclon.View().Add(simnet.NodeID(cand))
+			p.Cyclon.View().Add(simnet.NodeID(cand))
 		}
 	}
 	c.peers.Store(&peers)
@@ -402,22 +393,26 @@ func (c *Cluster) newPeer(id int) *peer {
 	} else {
 		ctrl = adaptive.Static{F: cfg.Fanout, N: cfg.Batch}
 	}
-	p := &peer{
+	return &peer{
+		Peer: proto.Peer{
+			Self:          simnet.NodeID(id),
+			Rng:           rand.New(rand.NewSource(cfg.Seed ^ int64(id*2654435761+1))),
+			Ledger:        c.ledger,
+			Seen:          gossip.NewSeenSet(8192),
+			Buffer:        gossip.NewBuffer(256, cfg.BufferMaxAge),
+			Cyclon:        membership.NewCyclon(membership.NewView(simnet.NodeID(id), cfg.ViewCap), cfg.ShuffleLen),
+			Ctrl:          ctrl,
+			Policy:        cfg.Policy,
+			ControlWindow: cfg.ControlWindow,
+		},
 		id:       id,
 		c:        c,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(id*2654435761+1))),
 		inbox:    make(chan []byte, cfg.InboxDepth),
 		cmds:     make(chan func(), 64),
-		buffer:   gossip.NewBuffer(256, cfg.BufferMaxAge),
-		seen:     gossip.NewSeenSet(8192),
-		ctrl:     ctrl,
-		cyclon:   membership.NewCyclon(membership.NewView(simnet.NodeID(id), cfg.ViewCap), cfg.ShuffleLen),
 		joinSeed: -1,
 		det:      newDetector(cfg.EvictStrikes, cfg.QuarantineRounds),
 		probe:    simnet.None,
 	}
-	p.fanout, p.batch = ctrl.Fanout(), ctrl.Batch()
-	return p
 }
 
 // peerList returns the current peer table (immutable snapshot).
@@ -507,7 +502,7 @@ func (c *Cluster) Join(seed int) (int, error) {
 	id := len(peers)
 	p := c.newPeer(id)
 	p.joinSeed = seed
-	p.cyclon.View().Add(simnet.NodeID(seed))
+	p.Cyclon.View().Add(simnet.NodeID(seed))
 	tr, err := c.net.Attach(id, p.ingress)
 	if err != nil {
 		// Nothing to roll back: the ledger has not grown yet (Grow has
@@ -589,22 +584,14 @@ func (c *Cluster) do(id int, fn func()) bool {
 // Subscribe registers a filter on a peer and returns its subscription ID.
 func (c *Cluster) Subscribe(id int, f pubsub.Filter) (pubsub.SubID, bool) {
 	var sub pubsub.SubID
-	ok := c.do(id, func() {
-		p := c.peerAt(id)
-		sub = p.in.Subscribe(f)
-		c.ledger.SetFilters(id, p.in.Count())
-	})
+	ok := c.do(id, func() { sub = c.peerAt(id).Subscribe(f) })
 	return sub, ok
 }
 
 // Unsubscribe removes a subscription from a peer.
 func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
 	removed := false
-	ok := c.do(id, func() {
-		p := c.peerAt(id)
-		removed = p.in.Unsubscribe(sub)
-		c.ledger.SetFilters(id, p.in.Count())
-	})
+	ok := c.do(id, func() { removed = c.peerAt(id).Unsubscribe(sub) })
 	return ok && removed
 }
 
@@ -615,7 +602,7 @@ func (c *Cluster) Unsubscribe(id int, sub pubsub.SubID) bool {
 // forwarding — treat it as read-only, or the peer forwards the
 // mutation.
 func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
-	return c.do(id, func() { c.peerAt(id).deliver = fn })
+	return c.do(id, func() { c.peerAt(id).OnDeliver = fn })
 }
 
 // Levers reports a peer's current fanout and batch levers (synchronised
@@ -623,7 +610,7 @@ func (c *Cluster) OnDeliver(id int, fn func(*pubsub.Event)) bool {
 func (c *Cluster) Levers(id int) (fanout, batch int, ok bool) {
 	ok = c.do(id, func() {
 		p := c.peerAt(id)
-		fanout, batch = p.fanout, p.batch
+		fanout, batch = p.Fanout(), p.Batch()
 	})
 	return fanout, batch, ok
 }
@@ -634,7 +621,7 @@ func (c *Cluster) Levers(id int) (fanout, batch int, ok bool) {
 func (c *Cluster) View(id int) []int {
 	var out []int
 	c.do(id, func() {
-		for _, e := range c.peerAt(id).cyclon.View().Entries() {
+		for _, e := range c.peerAt(id).Cyclon.View().Entries() {
 			out = append(out, int(e.ID))
 		}
 	})
@@ -657,7 +644,7 @@ func (c *Cluster) Views() [][]int {
 			out[i] = c.View(i)
 			continue
 		}
-		ids := p.cyclon.View().IDs()
+		ids := p.Cyclon.View().IDs()
 		v := make([]int, len(ids))
 		for j, id := range ids {
 			v[j] = int(id)
@@ -825,8 +812,8 @@ func (c *Cluster) Rebind(id int) bool {
 		if rb, ok := c.net.(transport.Rebinder); ok {
 			_, _ = rb.Rebind(id) // in-process substrates: nothing to move
 		}
-		if ents := p.cyclon.View().Entries(); len(ents) > 0 {
-			p.joinSeed = int(ents[p.rng.Intn(len(ents))].ID)
+		if ents := p.Cyclon.View().Entries(); len(ents) > 0 {
+			p.joinSeed = int(ents[p.Rng.Intn(len(ents))].ID)
 		}
 		if p.joinSeed < 0 {
 			return // an isolated founder has nobody to re-announce to
@@ -844,17 +831,7 @@ func (c *Cluster) Rebind(id int) bool {
 func (c *Cluster) Publish(id int, topic string, attrs []pubsub.Attr, payload []byte) bool {
 	return c.do(id, func() {
 		p := c.peerAt(id)
-		p.pubSeq++
-		ev := &pubsub.Event{
-			ID:      pubsub.EventID{Publisher: uint32(id), Seq: p.pubSeq},
-			Topic:   topic,
-			Attrs:   attrs,
-			Payload: payload,
-		}
-		c.ledger.AddPublish(id, ev.WireSize())
-		p.seen.Add(ev.ID)
-		p.buffer.Insert(ev)
-		p.deliverIfInterested(ev)
+		p.Buffer.Insert(p.Peer.Publish(topic, attrs, payload))
 	})
 }
 
@@ -884,7 +861,7 @@ func (p *peer) loop() {
 	}
 	// The command channel must be drained before Start too; tickers with
 	// jitter desynchronise the rounds.
-	jitter := time.Duration(p.rng.Int63n(int64(p.c.cfg.RoundPeriod)))
+	jitter := time.Duration(p.Rng.Int63n(int64(p.c.cfg.RoundPeriod)))
 	timer := time.NewTimer(p.c.cfg.RoundPeriod + jitter)
 	defer timer.Stop()
 	for {
@@ -907,28 +884,13 @@ func (p *peer) round() {
 	if p.down.Load() {
 		return // crashed: no protocol activity at all
 	}
-	p.rounds++
 	// Membership maintenance runs for free-riders too (they stay
 	// reachable, like core's defectors), never for crashed peers.
-	if p.rounds%p.c.cfg.ShuffleEvery == 0 {
+	if p.BeginRound()%p.c.cfg.ShuffleEvery == 0 {
 		p.membershipRound() //fair:ignore hotpath shuffle offers are deliberate fresh copies (they travel in in-flight messages), paid once every ShuffleEvery rounds
 	}
-	// A free-rider receives and delivers but never forwards; its buffer
-	// still ages so it does not hoard a backlog to replay on reform.
-	if !p.free.Load() {
-		p.gossip()
-	}
-	p.buffer.Tick()
-	if p.rounds%p.c.cfg.ControlWindow == 0 {
-		acct := p.c.ledger.Account(p.id)
-		delta := fairness.Delta(acct, p.last)
-		p.last = acct
-		w := p.c.ledger.Weights()
-		p.fanout, p.batch = p.ctrl.Update(adaptive.Sample{
-			Benefit:      fairness.Benefit(delta, w),
-			Contribution: fairness.Contribution(delta, w),
-		})
-	}
+	p.Disseminate(p, p.free.Load())
+	p.EndRound()
 }
 
 // membershipRound runs one Cyclon step: settle the previous shuffle's
@@ -942,8 +904,8 @@ func (p *peer) membershipRound() {
 	// Capture the current oldest before initiating: IncrementAges
 	// preserves the age order (ties and all), so this is the entry
 	// InitiateShuffle is about to cull, at one round younger.
-	old, _ := p.cyclon.View().Oldest()
-	target, offer, ok := p.cyclon.InitiateShuffle(p.rng)
+	old, _ := p.Cyclon.View().Oldest()
+	target, offer, ok := p.Cyclon.InitiateShuffle(p.Rng)
 	if !ok {
 		p.announce()
 		return
@@ -969,9 +931,9 @@ func (p *peer) resolveProbe() {
 	}
 	id := p.probe
 	p.probe = simnet.None
-	v := p.cyclon.View()
+	v := p.Cyclon.View()
 	if p.det.strike(id) {
-		p.det.bury(id, p.rounds)
+		p.det.bury(id, p.Rounds())
 		// The shuffle already culled the entry; a third party may have
 		// re-offered it mid-probe, so remove defensively.
 		v.Remove(id)
@@ -989,7 +951,7 @@ func (p *peer) noteAlive(from simnet.NodeID) {
 	if p.probe == from {
 		p.probe = simnet.None
 	}
-	p.cyclon.View().ClearSuspect(from)
+	p.Cyclon.View().ClearSuspect(from)
 }
 
 // announce re-sends the join announcement under capped exponential
@@ -1016,24 +978,14 @@ func (p *peer) announce() {
 	if s := p.joinAttempts - 1; s < 10 && 1<<s < backoff {
 		backoff = 1 << s
 	}
-	p.joinWait = backoff + p.rng.Intn(backoff)
+	p.joinWait = backoff + p.Rng.Intn(backoff)
 }
 
-// gossip runs one round's push: SELECTEVENTS, SELECTPARTICIPANTS,
-// encode once, send the shared immutable bytes to every partner.
+// Push is the peer's proto.Outbox: encode the round's batch once and
+// send the shared immutable bytes to every partner.
 //
 //fair:hotpath
-func (p *peer) gossip() {
-	// The selection runs over peer-owned scratch: it dies at the encode
-	// below, so unlike the envelope it never leaves this frame.
-	events := p.buffer.SelectInto(p.rng, &p.sel, p.batch, p.c.cfg.Policy)
-	if len(events) == 0 {
-		return
-	}
-	targets := p.samplePeers(p.fanout)
-	if len(targets) == 0 {
-		return
-	}
+func (p *peer) Push(to []simnet.NodeID, events []*pubsub.Event) {
 	// The envelope buffer must be fresh each round — receivers hold it
 	// asynchronously — so it is the round path's one allocation.
 	buf, err := wire.AppendEnvelope(make([]byte, 0, wire.EnvelopeSize(events)), uint32(p.id), events) //fair:ignore hotpath receivers hold the envelope asynchronously, so it cannot be pooled; TestLiveRoundPathAllocs pins the round at exactly this allocation
@@ -1042,27 +994,9 @@ func (p *peer) gossip() {
 		// cannot be gossiped; skip the fanout without charging anyone.
 		return
 	}
-	for _, q := range targets {
-		p.send(q, buf, fairness.ClassApp)
+	for _, q := range to {
+		p.send(int(q), buf, fairness.ClassApp)
 	}
-}
-
-// samplePeers draws up to k distinct partners from the peer's partial
-// view — SELECTPARTICIPANTS(F) over the membership substrate, not a
-// full roster. SampleInto runs over reused scratch, so steady-state
-// rounds allocate nothing here.
-func (p *peer) samplePeers(k int) []int {
-	got := p.cyclon.View().SampleInto(p.rng, k, p.targets[:0])
-	if got == nil {
-		return nil
-	}
-	p.targets = got
-	out := p.sample[:0]
-	for _, q := range got {
-		out = append(out, int(q))
-	}
-	p.sample = out
-	return out
 }
 
 // sendJoin announces this peer to its join seed (real, charged
@@ -1071,29 +1005,14 @@ func (p *peer) sendJoin() {
 	p.sendMembership(wire.KindJoin, p.joinSeed, nil)
 }
 
-// sendLeave notifies every view neighbour of this peer's departure,
-// handing each up to ShuffleLen of the freshest view entries (excluding
-// the neighbour's own address) as replacement contacts — the overlay
-// loses an address but keeps its degree. Every notification is charged
-// like any other membership traffic; sends to already-dead neighbours
-// land in the counted drop buckets as usual.
+// sendLeave notifies every view neighbour of this peer's departure
+// with the Cyclon hand-off's replacement contacts. Every notification
+// is charged like any other membership traffic; sends to already-dead
+// neighbours land in the counted drop buckets as usual.
 func (p *peer) sendLeave() {
-	ents := p.cyclon.View().Entries()
-	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
-	k := p.cyclon.ShuffleLen()
-	hand := make([]membership.Entry, 0, k)
-	for _, to := range ents {
-		hand = hand[:0]
-		for _, e := range ents {
-			if len(hand) == k {
-				break
-			}
-			if e.ID != to.ID {
-				hand = append(hand, e)
-			}
-		}
-		p.sendMembership(wire.KindLeave, int(to.ID), hand)
-	}
+	p.Cyclon.HandOff(func(to simnet.NodeID, hand []membership.Entry) {
+		p.sendMembership(wire.KindLeave, int(to), hand)
+	})
 }
 
 // sendMembership encodes and sends one membership envelope. The buffer
@@ -1126,7 +1045,7 @@ func (p *peer) sendMembership(kind byte, to int, entries []membership.Entry) {
 func (p *peer) send(to int, buf []byte, class fairness.Class) {
 	p.c.ledger.AddSend(p.id, class, len(buf))
 	p.c.traffic.sent.Add(1)
-	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q, p.rng) {
+	if q := p.c.peerAt(to); q != nil && p.c.faults.dropLink(p, q, p.Rng) {
 		p.c.traffic.faultDrops.Add(1)
 		return
 	}
@@ -1160,40 +1079,20 @@ func (p *peer) receive(buf []byte) {
 	p.noteAlive(simnet.NodeID(from))
 	switch p.env.Kind {
 	case wire.KindEvents:
-		p.receiveEvents(from)
+		// Dedupe before build: duplicates are charged by record size,
+		// which equals the event's WireSize, and never built.
+		novel, dup := p.Receive(&p.env, p.Buffer)
+		p.c.ledger.AddAudit(from, novel, dup)
 	case wire.KindShuffleOffer:
-		reply := p.cyclon.HandleShuffle(p.rng, simnet.NodeID(from), p.entriesIn())
+		reply := p.Cyclon.HandleShuffle(p.Rng, simnet.NodeID(from), p.entriesIn())
 		p.sendMembership(wire.KindShuffleReply, from, reply)
 	case wire.KindShuffleReply:
-		p.cyclon.HandleReply(simnet.NodeID(from), p.entriesIn())
+		p.Cyclon.HandleReply(simnet.NodeID(from), p.entriesIn())
 	case wire.KindJoin:
 		p.handleJoin(from)
 	case wire.KindLeave:
 		p.handleLeave(from)
 	}
-}
-
-// receiveEvents dedupes a scanned batch before decoding it: each
-// record's id is peeked from the wire bytes, and only records the peer
-// has not seen are built into events. Under push gossip most records
-// are duplicates, so they cost a lookup and no allocation. Both audit
-// columns are charged by record size, which equals the event's WireSize.
-//
-//fair:hotpath
-func (p *peer) receiveEvents(from int) {
-	novel, dup := 0, 0
-	for i, n := 0, p.env.Records(); i < n; i++ {
-		size := p.env.RecordSize(i)
-		if !p.seen.Add(p.env.RecordID(i)) {
-			dup += size
-			continue
-		}
-		novel += size
-		ev := p.env.Record(i) //fair:ignore hotpath a novel event is built into receiver-owned memory: the forward buffer and the delivery callback keep it
-		p.buffer.Insert(ev)
-		p.deliverIfInterested(ev)
-	}
-	p.c.ledger.AddAudit(from, novel, dup)
 }
 
 // entriesIn converts the decoded envelope's entries into membership
@@ -1204,7 +1103,7 @@ func (p *peer) entriesIn() []membership.Entry {
 	p.entIn = p.entIn[:0]
 	for _, e := range p.env.Entries {
 		id := simnet.NodeID(e.ID)
-		if p.det.buried(id, p.rounds) {
+		if p.det.buried(id, p.Rounds()) {
 			continue
 		}
 		p.entIn = append(p.entIn, membership.Entry{ID: id, Age: int(e.Age)})
@@ -1218,9 +1117,9 @@ func (p *peer) entriesIn() []membership.Entry {
 // fresh verdict against the leaver itself).
 func (p *peer) handleLeave(from int) {
 	id := simnet.NodeID(from)
-	v := p.cyclon.View()
+	v := p.Cyclon.View()
 	v.Remove(id)
-	p.det.bury(id, p.rounds)
+	p.det.bury(id, p.Rounds())
 	if p.probe == id {
 		p.probe = simnet.None
 	}
@@ -1234,14 +1133,14 @@ func (p *peer) handleLeave(from int) {
 // sent back as a shuffle reply (the joiner merges it conservatively,
 // learning our address too).
 func (p *peer) handleJoin(from int) {
-	v := p.cyclon.View()
+	v := p.Cyclon.View()
 	for _, e := range p.entriesIn() {
 		v.AddAged(e)
 	}
 	v.Add(simnet.NodeID(from))
 	ents := v.Entries()
-	p.rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
-	k := p.cyclon.ShuffleLen()
+	p.Rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
+	k := p.Cyclon.ShuffleLen()
 	if k > len(ents) {
 		k = len(ents)
 	}
@@ -1256,14 +1155,4 @@ func (p *peer) handleJoin(from int) {
 		boot = append(boot, e)
 	}
 	p.sendMembership(wire.KindShuffleReply, from, boot)
-}
-
-func (p *peer) deliverIfInterested(ev *pubsub.Event) {
-	if !p.in.Match(ev) {
-		return
-	}
-	p.c.ledger.AddDelivery(p.id)
-	if p.deliver != nil {
-		p.deliver(ev)
-	}
 }

@@ -107,7 +107,7 @@ func TestLiveReceiveAuditsMixedEnvelope(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("delivered %v, want %v", got, want)
 		}
-		if !p.buffer.Contains(want[i]) {
+		if !p.Buffer.Contains(want[i]) {
 			t.Fatalf("novel event %v not buffered for forwarding", want[i])
 		}
 	}
@@ -141,7 +141,7 @@ func TestLiveReceiveMalformedBodyHasNoEffect(t *testing.T) {
 		t.Fatalf("a malformed envelope delivered %d events", delivered)
 	}
 	for _, ev := range batch {
-		if p.seen.Contains(ev.ID) || p.buffer.Contains(ev.ID) {
+		if p.Seen.Contains(ev.ID) || p.Buffer.Contains(ev.ID) {
 			t.Fatalf("event %v of a malformed envelope was accepted", ev.ID)
 		}
 	}

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"math/rand"
+	"sort"
 
 	"fairgossip/internal/randutil"
 	"fairgossip/internal/simnet"
@@ -109,6 +110,29 @@ func (c *Cyclon) HandleReply(from simnet.NodeID, reply []Entry) {
 	c.merge(reply, c.pending, from)
 	c.pending = nil
 	c.target = simnet.None
+}
+
+// HandOff is a graceful leave's view hand-off: send is called once per
+// view neighbour, freshest first, with up to ShuffleLen of the freshest
+// other entries as that neighbour's replacement contacts — the overlay
+// loses the leaver's address but keeps its degree. Each hand is a fresh
+// slice the callee may keep (a simulated message carries it by
+// reference).
+func (c *Cyclon) HandOff(send func(to simnet.NodeID, hand []Entry)) {
+	ents := c.view.Entries()
+	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Age < ents[j].Age })
+	for _, to := range ents {
+		hand := make([]Entry, 0, c.shuffleLen)
+		for _, e := range ents {
+			if len(hand) == c.shuffleLen {
+				break
+			}
+			if e.ID != to.ID {
+				hand = append(hand, e)
+			}
+		}
+		send(to.ID, hand)
+	}
 }
 
 // merge folds received entries into the view: duplicates refresh ages,

@@ -259,3 +259,52 @@ func BenchmarkCyclonShuffle(b *testing.B) {
 		ca.HandleReply(target, reply)
 	}
 }
+
+// TestHandOffFreshestFirst: a graceful leave hands every view neighbour
+// up to ShuffleLen of the freshest other entries, freshest neighbour
+// first, never the neighbour's own address, each hand its own slice.
+func TestHandOffFreshestFirst(t *testing.T) {
+	v := NewView(0, 8)
+	for id, age := range []int{0, 5, 1, 4, 2, 3} {
+		if id > 0 {
+			v.AddAged(Entry{ID: simnet.NodeID(id), Age: age})
+		}
+	}
+	c := NewCyclon(v, 3)
+	var to []simnet.NodeID
+	var hands [][]Entry
+	c.HandOff(func(id simnet.NodeID, hand []Entry) {
+		to = append(to, id)
+		hands = append(hands, hand)
+	})
+	// Ages: 2→1, 4→2, 5→3, 3→4, 1→5.
+	wantTo := []simnet.NodeID{2, 4, 5, 3, 1}
+	if len(to) != len(wantTo) {
+		t.Fatalf("handed off to %v, want %v", to, wantTo)
+	}
+	for i := range wantTo {
+		if to[i] != wantTo[i] {
+			t.Fatalf("handed off to %v, want %v", to, wantTo)
+		}
+	}
+	for i, hand := range hands {
+		want := make([]simnet.NodeID, 0, 3)
+		for _, id := range wantTo {
+			if id != to[i] && len(want) < 3 {
+				want = append(want, id)
+			}
+		}
+		if len(hand) != len(want) {
+			t.Fatalf("hand to %d: %v, want ids %v", to[i], hand, want)
+		}
+		for j := range want {
+			if hand[j].ID != want[j] {
+				t.Fatalf("hand to %d: %v, want ids %v", to[i], hand, want)
+			}
+		}
+	}
+	hands[0][0].ID = 99
+	if hands[1][0].ID == 99 {
+		t.Fatal("hands share backing storage")
+	}
+}

@@ -264,6 +264,14 @@ type FullSampler struct {
 
 // SamplePeers implements Sampler.
 func (s FullSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
+	return s.SampleInto(rng, k, make([]simnet.NodeID, 0, max(k, 0)))
+}
+
+// SampleInto is SamplePeers drawing into dst's backing array (grown
+// only when its capacity is below k), so a per-round caller with reused
+// scratch allocates nothing once warm. It makes exactly the draws
+// SamplePeers makes.
+func (s FullSampler) SampleInto(rng *rand.Rand, k int, dst []simnet.NodeID) []simnet.NodeID {
 	pop := s.N
 	if s.Self >= 0 && int(s.Self) < s.N {
 		pop--
@@ -274,7 +282,7 @@ func (s FullSampler) SamplePeers(rng *rand.Rand, k int) []simnet.NodeID {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]simnet.NodeID, 0, k)
+	out := dst[:0]
 draw:
 	for len(out) < k {
 		id := simnet.NodeID(rng.Intn(s.N))

@@ -184,6 +184,76 @@ func TestQuickViewInvariants(t *testing.T) {
 	}
 }
 
+// drawSamplePeers is FullSampler.SamplePeers as it was written before
+// SampleInto existed: the reference stream the scratch-reusing form must
+// reproduce draw for draw.
+func drawSamplePeers(s FullSampler, rng *rand.Rand, k int) []simnet.NodeID {
+	pop := s.N
+	if s.Self >= 0 && int(s.Self) < s.N {
+		pop--
+	}
+	k = min(k, pop)
+	if k <= 0 {
+		return nil
+	}
+	out := make([]simnet.NodeID, 0, k)
+draw:
+	for len(out) < k {
+		id := simnet.NodeID(rng.Intn(s.N))
+		if id == s.Self {
+			continue
+		}
+		for _, prev := range out {
+			if prev == id {
+				continue draw
+			}
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestFullSamplerSampleIntoDrawsLikeSamplePeers: over many calls with
+// varying k and population, SampleInto into one reused scratch returns
+// the reference draws and leaves the random stream exactly where the
+// reference leaves it, and SamplePeers (its wrapper) does too.
+func TestFullSamplerSampleIntoDrawsLikeSamplePeers(t *testing.T) {
+	ref := rand.New(rand.NewSource(9))
+	into := rand.New(rand.NewSource(9))
+	wrap := rand.New(rand.NewSource(9))
+	var scratch []simnet.NodeID
+	for call := 0; call < 2000; call++ {
+		s := FullSampler{Self: simnet.NodeID(call % 7), N: 1 + call%23}
+		k := call % 11
+		want := drawSamplePeers(s, ref, k)
+		got := s.SampleInto(into, k, scratch)
+		if got != nil {
+			scratch = got
+		}
+		wrapped := s.SamplePeers(wrap, k)
+		if len(got) != len(want) || len(wrapped) != len(want) {
+			t.Fatalf("call %d: SampleInto %v, SamplePeers %v, want %v", call, got, wrapped, want)
+		}
+		for i := range want {
+			if got[i] != want[i] || wrapped[i] != want[i] {
+				t.Fatalf("call %d: SampleInto %v, SamplePeers %v, want %v", call, got, wrapped, want)
+			}
+		}
+	}
+	if r := ref.Int63(); into.Int63() != r || wrap.Int63() != r {
+		t.Fatal("random streams diverged")
+	}
+}
+
+func TestFullSamplerSampleIntoZeroAlloc(t *testing.T) {
+	s := FullSampler{Self: 5, N: 100000}
+	rng := rand.New(rand.NewSource(10))
+	scratch := s.SampleInto(rng, 8, nil) // warm: the scratch grows once
+	if avg := testing.AllocsPerRun(200, func() { scratch = s.SampleInto(rng, 8, scratch) }); avg != 0 {
+		t.Fatalf("SampleInto allocates %.2f times per call once warm, want 0", avg)
+	}
+}
+
 // Property: FullSampler is near-uniform over the population.
 func TestFullSamplerUniformity(t *testing.T) {
 	s := FullSampler{Self: 0, N: 20}

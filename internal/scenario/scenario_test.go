@@ -635,3 +635,45 @@ func TestResubscribeKeepsRedrawnTopics(t *testing.T) {
 		t.Fatal("inspection hook never ran")
 	}
 }
+
+// simColumnDigests are the SHA-256 digests of every builtin's sim-column
+// result text at seed 42. TestSimColumnDigests pins them so a change to
+// the protocol core that shifts one RNG draw, one delivery or one
+// counter on any builtin fails here, not only on storm.
+var simColumnDigests = map[string]string{
+	"calm":                "e406f89aaf4281b7cdd7b91b425f21060e1121ae4bf25e0ab36b219224738efa",
+	"churn-waves":         "35eaeab40ba62485ea3d4e1282b8d263e46cadb3bfcd403028203df935d08d02",
+	"partition-heal":      "09d595a23de64f1b110fab983e22b4c05fd97de3903347b5c678a356eaba6f72",
+	"lossy":               "2b927c2fd3389fcf592ee28db764de6fdd174c950b21b404416c0245908b28d5",
+	"flash-crowd":         "7d0a61b9361dc45d59eccd77c0d380288d38cc7203a20fdee9e7b4eaac0bf367",
+	"sub-churn":           "5566bc5aeaa418888e9bebccfe6c39f42da5733172daba3d341fe7d068dc5456",
+	"free-riders":         "b3112ec183f8b037adfb929460f3bfcbaedc07246a0866a5681265b0375672b3",
+	"storm":               "db3ccd914b4232ded508274df33c39c8134138b57aab22617924cc63a81f031a",
+	"join-wave":           "1716e5469b383aabc7502da524c9857bc654511ef36c3903c8cb87f4da349618",
+	"graceful-drain":      "4fa9f27e32506988a1990c1e1ca7c850a228106285e6f04cc271c4687a6ec534",
+	"crash-storm-recover": "1cd1d585dd78f55e0c87b7c4c87e5519e2983e9d42260cb1e309e897bd689338",
+	"shaped-wan":          "d38453c2adcb7799669f3b751d3995c1a730f5e1014f1bcea905f85eb1d03d95",
+	"regional-outage":     "1aa1148b7f6749e183fcee752d6b5a651f4bae2ba7f198f1cafab2ef9c295ca3",
+	"mobile-rebind":       "2528f20ce8e38f57a10fab29d27bfa7af002cfcf78f25f48d48c8a60b2d0c9b0",
+	"intermittent-links":  "3a248e84e1c20e89e9142050d245f3afc0d32c2cbecddf821288a5a582dec53d",
+	"rage-quit":           "389b5ce491bf6512c9e80656dbd4b7ab030c8b3c148272f28efa8b85eeb08eb9",
+	"aimd-fair":           "abc309def85be7dbb2ece826cf4f63d1faa45724e49ce9041e180ccbcf6c6eac",
+}
+
+func TestSimColumnDigests(t *testing.T) {
+	builtins := Builtins()
+	if len(builtins) != len(simColumnDigests) {
+		t.Fatalf("%d builtins, %d pinned digests: pin every builtin", len(builtins), len(simColumnDigests))
+	}
+	for _, sc := range builtins {
+		want, ok := simColumnDigests[sc.Name]
+		if !ok {
+			t.Errorf("%s: no pinned digest", sc.Name)
+			continue
+		}
+		res := Execute(NewSimRuntime(sc, 42), sc, 42).String()
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res))); got != want {
+			t.Errorf("%s: sim column diverged: digest %s, want %s\n%s", sc.Name, got, want, res)
+		}
+	}
+}
